@@ -3,33 +3,32 @@
 // measured speedup should track 1 / normalized-computation to within the
 // overhead of state copies.
 //
-// The parallel benchmarks compare the two multi-thread strategies
-// (sched/parallel.hpp): the work-stealing prefix-tree executor (zero
-// redundant prefix ops at any thread count) against legacy chunked
-// parallelism (shared prefixes recomputed per chunk). Beyond the gbench
-// registrations, two driver flags make this file the parallel perf gate:
+// The parallel benchmarks run the work-stealing prefix-tree executor at
+// several thread counts (zero redundant prefix ops at any count). Beyond
+// the gbench registrations, two driver flags make this file the parallel
+// perf gate:
 //
-//   --parallel-json <path>   sweep tree / chunked / frames (Pauli-frame
-//                            collapse) modes over thread counts on three
-//                            Table I circuits plus 20–24 qubit bv / ghz /
-//                            grover instances — ghz additionally at a
-//                            tight MSV budget to record uncompute routing
-//                            — and write the machine-readable comparison
-//                            (ops, fork copies, CoW materializations,
-//                            redundant prefix ops, frame_collapsed_trials,
-//                            frame_ops, uncomputations, wall ms,
-//                            speedup_vs_1t), then exit — this produces
-//                            BENCH_parallel.json.
+//   --parallel-json <path>   sweep tree and frames (Pauli-frame collapse)
+//                            modes over thread counts on three Table I
+//                            circuits plus 20–24 qubit bv / ghz / grover
+//                            instances — ghz additionally at a tight MSV
+//                            budget to record uncompute routing — and
+//                            write the machine-readable rows (ops, fork
+//                            copies, CoW materializations,
+//                            frame_collapsed_trials, frame_ops,
+//                            uncomputations, wall ms, speedup_vs_1t), then
+//                            exit.
 //   --parallel-check         fast assertion mode for ctest (perf_smoke):
-//                            exits nonzero unless tree-mode op counts are
-//                            strictly below chunked at >= 2 threads,
-//                            bitwise-match the sequential scheduler, the
-//                            whole Table I suite materializes strictly
-//                            fewer CoW copies than it forks, frame-mode
-//                            matvec_ops never exceed tree-mode's (>= 25%
-//                            below on ghz / bv / rb), and a budgeted ghz
-//                            run routes every refused fork through
-//                            uncomputation with zero inline fallbacks.
+//                            exits nonzero unless the tree's op counts at
+//                            2 and 4 threads equal the sequential
+//                            schedule's (analyze_noisy) and its histograms
+//                            equal the baseline loop's bitwise, the whole
+//                            Table I suite materializes strictly fewer CoW
+//                            copies than it forks, frame-mode matvec_ops
+//                            never exceed tree-mode's (>= 25% below on
+//                            ghz / bv / rb), and a budgeted ghz run routes
+//                            every refused fork through uncomputation with
+//                            zero inline fallbacks.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -43,7 +42,6 @@
 #include "bench_circuits/grover.hpp"
 #include "bench_circuits/suite.hpp"
 #include "noise/devices.hpp"
-#include "sched/parallel.hpp"
 #include "sched/runner.hpp"
 #include "telemetry/clock.hpp"
 #include "transpile/decompose.hpp"
@@ -93,27 +91,22 @@ void BM_CachedReorderedFused(benchmark::State& state) {
   run_mode(state, ExecutionMode::kCachedReordered, /*fuse_gates=*/true);
 }
 
-// range(0) = suite index, range(1) = threads, range(2) = 0 tree / 1 chunked.
+// range(0) = suite index, range(1) = threads.
 void BM_CachedParallel(benchmark::State& state) {
   const auto& entry = suite_entry(static_cast<std::size_t>(state.range(0)));
   const DeviceModel dev = yorktown_device();
-  ParallelRunConfig config;
+  NoisyRunConfig config;
   config.num_trials = 512;
   config.seed = 7;
   config.num_threads = static_cast<std::size_t>(state.range(1));
-  config.parallel_mode =
-      state.range(2) == 0 ? ParallelMode::kTree : ParallelMode::kChunked;
   NoisyRunResult result;
   for (auto _ : state) {
-    result = run_noisy_parallel(entry.compiled, dev.noise, config);
+    result = run_noisy(entry.compiled, dev.noise, config);
     benchmark::DoNotOptimize(result.histogram);
   }
-  state.SetLabel(entry.name +
-                 (state.range(2) == 0 ? std::string("/tree") : std::string("/chunked")));
+  state.SetLabel(entry.name);
   state.counters["matvec_ops"] = static_cast<double>(result.ops);
   state.counters["fork_copies"] = static_cast<double>(result.fork_copies);
-  state.counters["redundant_prefix_ops"] =
-      static_cast<double>(result.redundant_prefix_ops);
 }
 
 // Index into the Table I suite: 1=grover, 7=qft5, 11=qv_n5d5.
@@ -121,10 +114,8 @@ BENCHMARK(BM_Baseline)->Arg(1)->Arg(7)->Arg(11)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CachedReordered)->Arg(1)->Arg(7)->Arg(11)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CachedReorderedFused)->Arg(1)->Arg(7)->Arg(11)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CachedParallel)
-    ->Args({11, 2, 0})
-    ->Args({11, 4, 0})
-    ->Args({11, 2, 1})
-    ->Args({11, 4, 1})
+    ->Args({11, 2})
+    ->Args({11, 4})
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -139,7 +130,6 @@ struct SweepPoint {
   opcount_t ops = 0;
   std::uint64_t fork_copies = 0;
   std::uint64_t cow_materializations = 0;
-  opcount_t redundant_prefix_ops = 0;
   double wall_ms = 0.0;
   /// wall_ms of the same circuit+mode at 1 thread divided by this point's
   /// wall_ms — derived after the sweep; 1.0 for the 1-thread rows.
@@ -202,15 +192,13 @@ std::vector<SweepCase> make_sweep_cases() {
 }
 
 NoisyRunResult timed_parallel(const Circuit& circuit, const NoiseModel& noise,
-                              ParallelMode mode, std::size_t threads,
-                              double& best_ms, std::size_t trials = 512,
-                              int reps = 3, bool frames = false,
-                              std::size_t max_states = 0) {
-  ParallelRunConfig config;
+                              std::size_t threads, double& best_ms,
+                              std::size_t trials, int reps, bool frames,
+                              std::size_t max_states) {
+  NoisyRunConfig config;
   config.num_trials = trials;
   config.seed = 7;
   config.num_threads = threads;
-  config.parallel_mode = mode;
   config.frame_collapse = frames;
   config.max_states = max_states;
   NoisyRunResult result;
@@ -218,10 +206,10 @@ NoisyRunResult timed_parallel(const Circuit& circuit, const NoiseModel& noise,
   // Best of `reps` damps scheduler noise (the sweep runs on shared CI
   // machines; op counts are deterministic, only the clock needs repeats).
   // Timing comes from the telemetry clock (telemetry/clock.hpp), the
-  // project's single source of monotonic time (source rule 4).
+  // project's single source of monotonic time (analyzer rule RQS004).
   for (int rep = 0; rep < reps; ++rep) {
     const telemetry::Stopwatch stopwatch;
-    result = run_noisy_parallel(circuit, noise, config);
+    result = run_noisy(circuit, noise, config);
     const double ms = stopwatch.elapsed_ms();
     if (rep == 0 || ms < best_ms) {
       best_ms = ms;
@@ -232,7 +220,6 @@ NoisyRunResult timed_parallel(const Circuit& circuit, const NoiseModel& noise,
 
 struct SweepMode {
   const char* name;
-  ParallelMode mode;
   bool frames;
   std::size_t max_states;  // 0 = unlimited
 };
@@ -246,12 +233,11 @@ SweepPoint run_sweep_point(const SweepCase& c, const SweepMode& m,
   point.trials = c.trials;
   point.threads = threads;
   const NoisyRunResult result =
-      timed_parallel(c.compiled, c.noise, m.mode, threads, point.wall_ms,
-                     c.trials, c.reps, m.frames, m.max_states);
+      timed_parallel(c.compiled, c.noise, threads, point.wall_ms, c.trials, c.reps,
+                     m.frames, m.max_states);
   point.ops = result.ops;
   point.fork_copies = result.fork_copies;
   point.cow_materializations = result.telemetry.cow_materializations;
-  point.redundant_prefix_ops = result.redundant_prefix_ops;
   point.steals = result.telemetry.steals;
   point.inline_fallbacks = result.telemetry.inline_fallbacks;
   point.pool_reuses = result.telemetry.pool_reuses;
@@ -262,13 +248,12 @@ SweepPoint run_sweep_point(const SweepCase& c, const SweepMode& m,
   point.frame_ops = result.telemetry.frame_ops;
   point.uncomputations = result.telemetry.uncomputations;
   std::printf("%-10s %2uq %-12s %zu threads: %llu ops, %llu forks, "
-              "%llu cow copies, %llu redundant, %llu fallbacks, %llu framed, "
+              "%llu cow copies, %llu fallbacks, %llu framed, "
               "%llu uncomputed, %.2f ms\n",
               point.circuit.c_str(), point.qubits, point.mode.c_str(), threads,
               static_cast<unsigned long long>(point.ops),
               static_cast<unsigned long long>(point.fork_copies),
               static_cast<unsigned long long>(point.cow_materializations),
-              static_cast<unsigned long long>(point.redundant_prefix_ops),
               static_cast<unsigned long long>(point.inline_fallbacks),
               static_cast<unsigned long long>(point.frame_collapsed_trials),
               static_cast<unsigned long long>(point.uncomputations),
@@ -278,15 +263,13 @@ SweepPoint run_sweep_point(const SweepCase& c, const SweepMode& m,
 
 int run_parallel_sweep(const std::string& path) {
   const SweepMode modes[] = {
-      {"tree", ParallelMode::kTree, /*frames=*/false, 0},
-      {"chunked", ParallelMode::kChunked, /*frames=*/false, 0},
-      {"frames", ParallelMode::kTree, /*frames=*/true, 0},
+      {"tree", /*frames=*/false, 0},
+      {"frames", /*frames=*/true, 0},
   };
   // Budget rows: a tight MSV budget on the Clifford-only ghz instances,
   // where every refused fork must route through uncomputation instead of
   // an inline fallback (the uncomputations column records the routing).
-  const SweepMode budget_mode = {"tree_budget2", ParallelMode::kTree,
-                                 /*frames=*/false, 2};
+  const SweepMode budget_mode = {"tree_budget2", /*frames=*/false, 2};
   std::vector<SweepPoint> points;
   for (const SweepCase& c : make_sweep_cases()) {
     for (const SweepMode& m : modes) {
@@ -325,7 +308,6 @@ int run_parallel_sweep(const std::string& path) {
         << ", \"threads\": " << p.threads << ", \"matvec_ops\": " << p.ops
         << ", \"fork_copies\": " << p.fork_copies
         << ", \"cow_materializations\": " << p.cow_materializations
-        << ", \"redundant_prefix_ops\": " << p.redundant_prefix_ops
         << ", \"steals\": " << p.steals
         << ", \"inline_fallbacks\": " << p.inline_fallbacks
         << ", \"pool_reuses\": " << p.pool_reuses
@@ -347,44 +329,32 @@ int run_parallel_sweep(const std::string& path) {
 int run_parallel_check() {
   const DeviceModel dev = yorktown_device();
   const BenchmarkEntry& entry = suite_entry(11);  // qv_n5d5
-  NoisyRunConfig serial_config;
-  serial_config.num_trials = 512;
-  serial_config.seed = 7;
-  const NoisyRunResult serial = run_noisy(entry.compiled, dev.noise, serial_config);
+  NoisyRunConfig config;
+  config.num_trials = 512;
+  config.seed = 7;
+  // References: the sequential schedule's op count (count-only walker) and
+  // the per-trial baseline loop's histogram.
+  const NoisyRunResult counted = analyze_noisy(entry.compiled, dev.noise, config);
+  NoisyRunConfig baseline_config = config;
+  baseline_config.mode = ExecutionMode::kBaseline;
+  const NoisyRunResult baseline = run_noisy(entry.compiled, dev.noise, baseline_config);
   int failures = 0;
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    double ms = 0.0;
-    const NoisyRunResult tree =
-        timed_parallel(entry.compiled, dev.noise, ParallelMode::kTree, threads, ms);
-    const NoisyRunResult chunked = timed_parallel(entry.compiled, dev.noise,
-                                                  ParallelMode::kChunked, threads, ms);
-    if (tree.ops != serial.ops) {
+    config.num_threads = threads;
+    const NoisyRunResult tree = run_noisy(entry.compiled, dev.noise, config);
+    if (tree.ops != counted.ops) {
       std::fprintf(stderr, "FAIL: tree ops %llu != sequential ops %llu at %zu threads\n",
                    static_cast<unsigned long long>(tree.ops),
-                   static_cast<unsigned long long>(serial.ops), threads);
+                   static_cast<unsigned long long>(counted.ops), threads);
       ++failures;
     }
-    if (tree.histogram != serial.histogram) {
-      std::fprintf(stderr, "FAIL: tree histogram diverges from sequential at %zu threads\n",
+    if (tree.histogram != baseline.histogram) {
+      std::fprintf(stderr, "FAIL: tree histogram diverges from baseline at %zu threads\n",
                    threads);
       ++failures;
     }
-    if (tree.ops >= chunked.ops) {
-      std::fprintf(stderr,
-                   "FAIL: tree ops %llu not below chunked ops %llu at %zu threads\n",
-                   static_cast<unsigned long long>(tree.ops),
-                   static_cast<unsigned long long>(chunked.ops), threads);
-      ++failures;
-    }
-    if (chunked.redundant_prefix_ops != chunked.ops - serial.ops) {
-      std::fprintf(stderr, "FAIL: chunked redundant_prefix_ops misattributed\n");
-      ++failures;
-    }
-    std::printf("%zu threads: tree %llu ops (0 redundant) vs chunked %llu ops "
-                "(%llu redundant)\n",
-                threads, static_cast<unsigned long long>(tree.ops),
-                static_cast<unsigned long long>(chunked.ops),
-                static_cast<unsigned long long>(chunked.redundant_prefix_ops));
+    std::printf("%zu threads: tree %llu ops == sequential, histogram == baseline\n",
+                threads, static_cast<unsigned long long>(tree.ops));
   }
   // Suite-wide CoW effectiveness gate: across all 12 Table I circuits, the
   // tree executor must materialize strictly fewer checkpoint copies than
@@ -394,22 +364,20 @@ int run_parallel_check() {
   std::uint64_t suite_forks = 0;
   std::uint64_t suite_materializations = 0;
   for (const BenchmarkEntry& e : table1_suite()) {
-    ParallelRunConfig config;
+    NoisyRunConfig config;
     config.num_trials = 512;
     config.seed = 7;
     config.num_threads = 4;
-    config.parallel_mode = ParallelMode::kTree;
-    const NoisyRunResult r = run_noisy_parallel(e.compiled, dev.noise, config);
+    const NoisyRunResult r = run_noisy(e.compiled, dev.noise, config);
     suite_forks += r.fork_copies;
     suite_materializations += r.telemetry.cow_materializations;
 
     // Pauli-frame gate, per Table I entry: frame mode never does more
     // matvec work than the tree executor, stays bitwise, and cuts >= 25%
     // on the Clifford-dominated entries (rb, bv4, bv5).
-    ParallelRunConfig framed_config = config;
+    NoisyRunConfig framed_config = config;
     framed_config.frame_collapse = true;
-    const NoisyRunResult framed =
-        run_noisy_parallel(e.compiled, dev.noise, framed_config);
+    const NoisyRunResult framed = run_noisy(e.compiled, dev.noise, framed_config);
     if (framed.ops > r.ops) {
       std::fprintf(stderr, "FAIL: %s frame ops %llu above tree ops %llu\n",
                    e.name.c_str(), static_cast<unsigned long long>(framed.ops),
@@ -450,14 +418,14 @@ int run_parallel_check() {
   {
     const Circuit ghz = decompose_to_cx_basis(make_ghz(10));
     const NoiseModel ghz_noise = NoiseModel::uniform(10, 0.02, 0.08, 0.02);
-    ParallelRunConfig config;
+    NoisyRunConfig config;
     config.num_trials = 512;
     config.seed = 7;
     config.num_threads = 4;
-    const NoisyRunResult tree = run_noisy_parallel(ghz, ghz_noise, config);
-    ParallelRunConfig framed_config = config;
+    const NoisyRunResult tree = run_noisy(ghz, ghz_noise, config);
+    NoisyRunConfig framed_config = config;
     framed_config.frame_collapse = true;
-    const NoisyRunResult framed = run_noisy_parallel(ghz, ghz_noise, framed_config);
+    const NoisyRunResult framed = run_noisy(ghz, ghz_noise, framed_config);
     if (framed.histogram != tree.histogram || framed.ops * 4 > tree.ops * 3) {
       std::fprintf(stderr,
                    "FAIL: ghz frame mode not bitwise or not >=25%% below tree "
@@ -466,9 +434,9 @@ int run_parallel_check() {
                    static_cast<unsigned long long>(tree.ops));
       ++failures;
     }
-    ParallelRunConfig budget_config = config;
+    NoisyRunConfig budget_config = config;
     budget_config.max_states = 2;
-    const NoisyRunResult budget = run_noisy_parallel(ghz, ghz_noise, budget_config);
+    const NoisyRunResult budget = run_noisy(ghz, ghz_noise, budget_config);
     if (budget.histogram != tree.histogram ||
         budget.telemetry.uncomputations == 0 ||
         budget.telemetry.inline_fallbacks != 0) {
@@ -498,7 +466,8 @@ int run_parallel_check() {
 // readable run next to the console report — shorthand for google benchmark's
 // --benchmark_out=<path> --benchmark_out_format=json pair, kept stable here
 // so driver scripts don't depend on gbench flag spellings. `--parallel-json`
-// and `--parallel-check` run the parallel-mode drivers instead of gbench.
+// and `--parallel-check` run the parallel sweep / check drivers instead of
+// gbench.
 int main(int argc, char** argv) {
   std::vector<std::string> args;
   args.reserve(static_cast<std::size_t>(argc) + 1);

@@ -4,32 +4,29 @@
 #
 # Usage: scripts/lint.sh [build-dir]
 #
-# Source-rule layer: when the build tree has the in-tree static analyzer
-# (tools/analyze → <build>/tools/analyze/rqsim-analyze), that binary is the
-# enforced gate — token-level lexing, lock-order and protocol passes,
-# inline `rqsim-analyze: allow(...)` suppressions. Without a built
-# analyzer the portable grep fallback (check_source_rules.sh) runs instead,
-# covering the six source rules only.
+# Source-rule layer: the in-tree static analyzer built with the tree
+# (tools/analyze → <build>/tools/analyze/rqsim-analyze) — source rules
+# RQS001–RQS007, lock-order and protocol passes, inline
+# `rqsim-analyze: allow(...)` suppressions. Build the tree first.
 #
 # The build dir must contain compile_commands.json (exported by the tier-1
 # configure; CMAKE_EXPORT_COMPILE_COMMANDS is ON in CMakeLists.txt).
 #
-# Exit codes: 0 = everything clean; 1 = violations; 77 = the source rules
-# passed but clang-tidy is unavailable, reported as a ctest SKIP
-# (SKIP_RETURN_CODE in tests/CMakeLists.txt) so minimal containers neither
-# fail nor claim a tidy pass that never ran.
+# Exit codes: 0 = everything clean; 1 = violations; 2 = no built analyzer;
+# 77 = the source rules passed but clang-tidy is unavailable, reported as a
+# ctest SKIP (SKIP_RETURN_CODE in tests/CMakeLists.txt) so minimal
+# containers neither fail nor claim a tidy pass that never ran.
 set -u
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir="${1:-$repo_root/build}"
 
 analyzer="$build_dir/tools/analyze/rqsim-analyze"
-if [ -x "$analyzer" ]; then
-  "$analyzer" --root "$repo_root" || exit 1
-else
-  echo "lint: rqsim-analyze not built; using grep fallback" >&2
-  sh "$repo_root/scripts/check_source_rules.sh" "$repo_root/src" || exit 1
+if [ ! -x "$analyzer" ]; then
+  echo "lint: $analyzer not built; build the tree first" >&2
+  exit 2
 fi
+"$analyzer" --root "$repo_root" || exit 1
 
 if ! command -v clang-tidy >/dev/null 2>&1; then
   echo "lint: clang-tidy not found; source rules passed, tidy skipped" >&2

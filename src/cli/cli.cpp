@@ -22,7 +22,6 @@
 #include "report/trace_merge.hpp"
 #include "router/router.hpp"
 #include "sched/enumerate.hpp"
-#include "sched/parallel.hpp"
 #include "sched/runner.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -51,7 +50,6 @@ struct CliOptions {
   std::uint64_t seed = 1;         // --seed
   std::string mode = "cached";    // --mode baseline|cached|unordered
   std::size_t threads = 1;        // --threads
-  std::string parallel_mode = "tree";  // --parallel-mode tree|chunked
   std::size_t max_states = 0;     // --max-states
   std::size_t top = 16;           // --top (histogram rows)
   std::size_t max_errors = 2;     // --max-errors (enumerate)
@@ -145,8 +143,6 @@ CliOptions parse_options(const std::vector<std::string>& args, std::size_t begin
       options.mode = value();
     } else if (flag == "--threads") {
       options.threads = parse_u64_flag(value(), flag);
-    } else if (flag == "--parallel-mode") {
-      options.parallel_mode = value();
     } else if (flag == "--max-states") {
       options.max_states = parse_u64_flag(value(), flag);
     } else if (flag == "--top") {
@@ -246,16 +242,6 @@ DeviceModel load_device(const CliOptions& options, unsigned circuit_qubits) {
   return dev;
 }
 
-ParallelMode parse_parallel_mode(const std::string& mode) {
-  if (mode == "tree") {
-    return ParallelMode::kTree;
-  }
-  if (mode == "chunked") {
-    return ParallelMode::kChunked;
-  }
-  usage_error("unknown parallel mode '" + mode + "' (tree | chunked)");
-}
-
 ExecutionMode parse_mode(const std::string& mode) {
   if (mode == "baseline") {
     return ExecutionMode::kBaseline;
@@ -350,34 +336,15 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out, bool analyz
     telemetry::start_tracing();
   }
 
-  NoisyRunResult result;
-  if (analyze_only) {
-    NoisyRunConfig config;
-    config.num_trials = options.trials;
-    config.seed = options.seed;
-    config.mode = parse_mode(options.mode);
-    config.max_states = options.max_states;
-    result = analyze_noisy(circuit, dev.noise, config);
-  } else if (options.threads > 1 || options.frames) {
-    // Frame collapse is a prefix-tree transformation, so --frames takes the
-    // tree at any thread count (one worker reproduces run_noisy's histogram).
-    ParallelRunConfig config;
-    config.num_trials = options.trials;
-    config.seed = options.seed;
-    config.mode = parse_mode(options.mode);
-    config.max_states = options.max_states;
-    config.num_threads = options.threads;
-    config.parallel_mode = parse_parallel_mode(options.parallel_mode);
-    config.frame_collapse = options.frames;
-    result = run_noisy_parallel(circuit, dev.noise, config);
-  } else {
-    NoisyRunConfig config;
-    config.num_trials = options.trials;
-    config.seed = options.seed;
-    config.mode = parse_mode(options.mode);
-    config.max_states = options.max_states;
-    result = run_noisy(circuit, dev.noise, config);
-  }
+  NoisyRunConfig config;
+  config.num_trials = options.trials;
+  config.seed = options.seed;
+  config.mode = parse_mode(options.mode);
+  config.max_states = options.max_states;
+  config.num_threads = options.threads;
+  config.frame_collapse = options.frames;
+  const NoisyRunResult result = analyze_only ? analyze_noisy(circuit, dev.noise, config)
+                                             : run_noisy(circuit, dev.noise, config);
   if (!options.trace_out.empty()) {
     telemetry::stop_tracing();
     const long events = telemetry::export_trace(options.trace_out);
@@ -1059,11 +1026,10 @@ void print_usage(std::ostream& out) {
          "  --trials <n>          Monte Carlo trials (default 1024)\n"
          "  --seed <n>            RNG seed (default 1)\n"
          "  --mode <m>            baseline | cached | unordered (default cached)\n"
-         "  --threads <n>         parallel workers for run (default 1)\n"
-         "  --parallel-mode <m>   tree | chunked (default tree: work-stealing\n"
-         "                        prefix-tree executor, zero redundant prefix ops)\n"
+         "  --threads <n>         run/submit: prefix-tree workers (default 1;\n"
+         "                        results are bitwise identical at every count)\n"
          "  --max-states <n>      MSV budget (0 = unlimited)\n"
-         "  --frames              Pauli-frame subtree collapse (tree-mode runs:\n"
+         "  --frames              Pauli-frame subtree collapse (cached runs:\n"
          "                        Clifford-propagatable trials finish as tracked\n"
          "                        frames, bitwise-identical, fewer matvec ops)\n"
          "  --top <k>             histogram rows to print (default 16)\n"

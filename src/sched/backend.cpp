@@ -6,17 +6,8 @@
 #include "linalg/pauli.hpp"
 #include "sim/gate_runs.hpp"
 #include "sim/kernels.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace rqsim {
-
-namespace {
-// Mirrors every accumulation into SvRunResult::ops on this execution path,
-// so the runtime-measured total ("sim.matvec_ops", shared with the baseline
-// and tree executors by name) reconciles bitwise with the PlanVerifier
-// proof and the reported op counts.
-telemetry::Counter g_matvec_ops("sim.matvec_ops");
-}  // namespace
 
 // --------------------------------------------------------------------------
 // CountBackend
@@ -55,7 +46,7 @@ void CountBackend::on_drop(std::size_t depth) {
 }
 
 // --------------------------------------------------------------------------
-// SvBackend
+// State-advancing primitives
 
 void apply_layers(const CircuitContext& ctx, StateVector& state, layer_index_t from,
                   layer_index_t to) {
@@ -101,115 +92,6 @@ void apply_error_event(const CircuitContext& ctx, StateVector& state,
                      gate.qubits[1]);
   }
 }
-
-SvBackend::SvBackend(const CircuitContext& ctx, Rng& rng, bool record_final_states,
-                     const std::vector<PauliString>* observables, bool fuse_gates,
-                     bool use_trial_seeds)
-    : ctx_(ctx),
-      rng_(rng),
-      record_final_states_(record_final_states),
-      use_trial_seeds_(use_trial_seeds),
-      observables_(observables) {
-  if (fuse_gates) {
-    fusion_ = std::make_unique<FusionCache>(ctx.circuit, ctx.layering);
-  }
-  stack_.emplace_back(ctx.circuit.num_qubits());
-  result_.max_live_states = 1;
-  if (observables_ != nullptr) {
-    for (const PauliString& p : *observables_) {
-      RQSIM_CHECK(p.min_qubits() <= ctx.circuit.num_qubits(),
-                  "SvBackend: observable exceeds circuit size");
-    }
-    result_.observable_sums.assign(observables_->size(), 0.0);
-  }
-}
-
-const StateVector& SvBackend::state_at(std::size_t depth) const {
-  RQSIM_CHECK(depth < stack_.size(), "SvBackend: depth out of range");
-  return stack_[depth];
-}
-
-void SvBackend::on_advance(std::size_t depth, layer_index_t from_layer,
-                           layer_index_t to_layer) {
-  RQSIM_CHECK(depth == stack_.size() - 1, "SvBackend: advance must target the top");
-  if (fusion_ != nullptr) {
-    apply_fused(stack_[depth], fusion_->segment(from_layer, to_layer));
-  } else {
-    apply_layers(ctx_, stack_[depth], from_layer, to_layer);
-  }
-  const opcount_t advanced = ctx_.ops_in_layers(from_layer, to_layer);
-  result_.ops += advanced;
-  g_matvec_ops.add(advanced);
-  cached_probs_.reset();
-  cached_expectations_.reset();
-}
-
-void SvBackend::on_fork(std::size_t depth) {
-  RQSIM_CHECK(depth == stack_.size() - 1, "SvBackend: fork must target the top");
-  stack_.push_back(pool_.acquire_copy(stack_[depth]));
-  ++result_.fork_copies;
-  result_.max_live_states = std::max(result_.max_live_states, stack_.size());
-  cached_probs_.reset();
-  cached_expectations_.reset();
-}
-
-void SvBackend::on_error(std::size_t depth, const ErrorEvent& event) {
-  RQSIM_CHECK(depth == stack_.size() - 1, "SvBackend: error must target the top");
-  apply_error_event(ctx_, stack_[depth], event);
-  result_.ops += 1;
-  g_matvec_ops.increment();
-  cached_probs_.reset();
-  cached_expectations_.reset();
-}
-
-void SvBackend::on_finish(std::size_t depth, trial_index_t trial_index,
-                          const Trial& trial) {
-  const StateVector& state = state_at(depth);
-  if (record_final_states_) {
-    if (result_.final_states.size() <= trial_index) {
-      result_.final_states.resize(trial_index + 1);
-    }
-    result_.final_states[trial_index] = state;
-  }
-  if (!ctx_.circuit.measured_qubits().empty()) {
-    if (!cached_probs_) {
-      cached_probs_ = measurement_probabilities(state, ctx_.circuit.measured_qubits());
-    }
-    std::uint64_t outcome;
-    if (use_trial_seeds_) {
-      Rng trial_rng(trial.meas_seed);
-      outcome = sample_outcome(*cached_probs_, trial_rng);
-    } else {
-      outcome = sample_outcome(*cached_probs_, rng_);
-    }
-    outcome ^= trial.meas_flip_mask;
-    ++result_.histogram[outcome];
-  }
-  if (observables_ != nullptr && !observables_->empty()) {
-    if (!cached_expectations_) {
-      std::vector<double> values;
-      values.reserve(observables_->size());
-      for (const PauliString& p : *observables_) {
-        values.push_back(expectation(state, p));
-      }
-      cached_expectations_ = std::move(values);
-    }
-    for (std::size_t k = 0; k < cached_expectations_->size(); ++k) {
-      result_.observable_sums[k] += (*cached_expectations_)[k];
-    }
-  }
-}
-
-void SvBackend::on_drop(std::size_t depth) {
-  RQSIM_CHECK(depth == stack_.size() - 1 && stack_.size() > 1,
-              "SvBackend: drop must pop the top (non-root) checkpoint");
-  pool_.release(std::move(stack_.back()));
-  stack_.pop_back();
-  cached_probs_.reset();
-  cached_expectations_.reset();
-}
-
-SvRunResult SvBackend::take_result() { return std::move(result_); }
 
 // --------------------------------------------------------------------------
 // TraceBackend

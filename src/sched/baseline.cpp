@@ -1,7 +1,8 @@
 #include "sched/baseline.hpp"
 
 #include "common/error.hpp"
-#include "linalg/pauli.hpp"
+#include "common/rng.hpp"
+#include "sched/backend.hpp"
 #include "sim/kernels.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -9,26 +10,9 @@ namespace rqsim {
 
 namespace {
 
-// Same logical metric as the cached/tree executors (interned by name), so
-// baseline runs contribute to the one runtime op total.
+// Same logical metric as the tree executor (interned by name), so baseline
+// runs contribute to the one runtime op total.
 telemetry::Counter g_matvec_ops("sim.matvec_ops");
-
-void apply_one_event(const CircuitContext& ctx, StateVector& state,
-                     const ErrorEvent& event) {
-  if (is_idle_position(ctx.circuit.num_gates(), event.position)) {
-    apply_pauli(state, static_cast<Pauli>(event.op),
-                idle_qubit(ctx.circuit.num_gates(), event.position));
-    return;
-  }
-  const Gate& gate = ctx.circuit.gates()[event.position];
-  if (gate.arity() == 1) {
-    apply_pauli(state, static_cast<Pauli>(event.op), gate.qubits[0]);
-  } else {
-    RQSIM_CHECK(gate.arity() == 2, "simulate_trial: unsupported gate arity");
-    apply_pauli_pair(state, pauli_pair_from_index(event.op), gate.qubits[0],
-                     gate.qubits[1]);
-  }
-}
 
 // Fused variant: advance through the error-free layer segments between
 // consecutive error positions with fused programs.
@@ -44,7 +28,7 @@ StateVector simulate_trial_fused(const CircuitContext& ctx, const Trial& trial,
     apply_fused(state, fusion.segment(from, l + 1));
     from = l + 1;
     while (next_event < trial.events.size() && trial.events[next_event].layer == l) {
-      apply_one_event(ctx, state, trial.events[next_event]);
+      apply_error_event(ctx, state, trial.events[next_event]);
       ++next_event;
     }
   }
@@ -68,7 +52,7 @@ StateVector simulate_trial(const CircuitContext& ctx, const Trial& trial,
       apply_gate(state, ctx.circuit.gates()[g]);
     }
     while (next_event < trial.events.size() && trial.events[next_event].layer == l) {
-      apply_one_event(ctx, state, trial.events[next_event]);
+      apply_error_event(ctx, state, trial.events[next_event]);
       ++next_event;
     }
   }
@@ -78,44 +62,29 @@ StateVector simulate_trial(const CircuitContext& ctx, const Trial& trial,
 }
 
 SvRunResult baseline_simulate(const CircuitContext& ctx, const std::vector<Trial>& trials,
-                              Rng& rng, bool record_final_states,
                               const std::vector<PauliString>* observables,
-                              bool fuse_gates, bool use_trial_seeds) {
+                              bool fuse_gates) {
   SvRunResult result;
   result.max_live_states = 1;
-  if (record_final_states) {
-    result.final_states.resize(trials.size());
-  }
   if (observables != nullptr) {
     result.observable_sums.assign(observables->size(), 0.0);
   }
   FusionCache fusion(ctx.circuit, ctx.layering);
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    const Trial& trial = trials[i];
-    StateVector state = simulate_trial(ctx, trial, fuse_gates ? &fusion : nullptr);
+  for (const Trial& trial : trials) {
+    const StateVector state = simulate_trial(ctx, trial, fuse_gates ? &fusion : nullptr);
     const opcount_t trial_ops =
         ctx.total_gate_ops() + static_cast<opcount_t>(trial.num_errors());
     result.ops += trial_ops;
     g_matvec_ops.add(trial_ops);
     if (!ctx.circuit.measured_qubits().empty()) {
       const auto probs = measurement_probabilities(state, ctx.circuit.measured_qubits());
-      std::uint64_t outcome;
-      if (use_trial_seeds) {
-        Rng trial_rng(trial.meas_seed);
-        outcome = sample_outcome(probs, trial_rng);
-      } else {
-        outcome = sample_outcome(probs, rng);
-      }
-      outcome ^= trial.meas_flip_mask;
-      ++result.histogram[outcome];
+      Rng trial_rng(trial.meas_seed);
+      ++result.histogram[sample_outcome(probs, trial_rng) ^ trial.meas_flip_mask];
     }
     if (observables != nullptr) {
       for (std::size_t k = 0; k < observables->size(); ++k) {
         result.observable_sums[k] += expectation(state, (*observables)[k]);
       }
-    }
-    if (record_final_states) {
-      result.final_states[i] = std::move(state);
     }
   }
   return result;

@@ -9,9 +9,11 @@
 
 #include <vector>
 
-#include "common/rng.hpp"
-#include "sched/backend.hpp"
+#include "circuit/fusion.hpp"
+#include "obs/pauli_string.hpp"
 #include "sched/plan.hpp"
+#include "sim/measure.hpp"
+#include "sim/statevector.hpp"
 #include "trial/trial.hpp"
 
 namespace rqsim {
@@ -22,15 +24,25 @@ namespace rqsim {
 StateVector simulate_trial(const CircuitContext& ctx, const Trial& trial,
                            FusionCache* fusion = nullptr);
 
+/// Result of a baseline run.
+struct SvRunResult {
+  OutcomeHistogram histogram;
+  opcount_t ops = 0;
+  std::size_t max_live_states = 0;
+
+  /// Σ over trials of ⟨ψ_trial|P_k|ψ_trial⟩, one entry per requested
+  /// observable (divide by the trial count for the noisy expectation).
+  std::vector<double> observable_sums;
+};
+
 /// Full baseline run: per-trial simulation, outcome sampling, histogram.
-/// `observables` (optional, borrowed) are evaluated on every trial's final
-/// state and accumulated into SvRunResult::observable_sums. With
-/// `use_trial_seeds`, each trial samples from Rng(trial.meas_seed) instead
-/// of the shared `rng` stream (see sched/backend.hpp), making the baseline
-/// histogram bitwise comparable to any cached-mode run of the same trials.
+/// Each trial samples from Rng(trial.meas_seed) (trial/generator.hpp:
+/// assign_measurement_seeds), so the histogram is bitwise comparable to any
+/// cached run of the same trials. `observables` (optional, borrowed) are
+/// evaluated on every trial's final state and accumulated into
+/// observable_sums in trial order.
 SvRunResult baseline_simulate(const CircuitContext& ctx, const std::vector<Trial>& trials,
-                              Rng& rng, bool record_final_states = false,
                               const std::vector<PauliString>* observables = nullptr,
-                              bool fuse_gates = false, bool use_trial_seeds = false);
+                              bool fuse_gates = false);
 
 }  // namespace rqsim

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "common/error.hpp"
 #include "dm/density_matrix.hpp"
 #include "linalg/pauli.hpp"
 #include "sched/backend.hpp"
 #include "sched/order.hpp"
+#include "sim/measure.hpp"
 
 namespace rqsim {
 

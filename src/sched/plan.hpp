@@ -17,10 +17,12 @@
 // one checkpoint, so the number of live states equals the recursion depth
 // plus one — the paper's MSV bound.
 //
-// Backends interpret the stream with real amplitudes (SvBackend), pure
-// accounting (CountBackend), or per-trial operator traces (TraceBackend);
-// the walker itself never touches a state vector, which is what lets the
-// 40-qubit scalability experiments run without 2^40 amplitudes.
+// Backends interpret the stream as pure accounting (CountBackend) or
+// per-trial operator traces (TraceBackend); the walker itself never touches
+// a state vector, which is what lets the 40-qubit scalability experiments
+// run without 2^40 amplitudes. Statevector execution runs the same schedule
+// as an explicit prefix tree (sched/tree.hpp), which the tree-plan verifier
+// pins to this walker's stream op for op.
 #pragma once
 
 #include <cstddef>

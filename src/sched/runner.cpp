@@ -4,9 +4,12 @@
 #include "common/rng.hpp"
 #include <algorithm>
 
+#include "sched/backend.hpp"
 #include "sched/baseline.hpp"
 #include "sched/cached.hpp"
 #include "sched/order.hpp"
+#include "sched/tree.hpp"
+#include "sched/tree_exec.hpp"
 #include "telemetry/clock.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
@@ -31,7 +34,7 @@ void validate_run_limits(const NoisyRunConfig& config, const char* context) {
 namespace {
 
 // Read handle for the process-wide matvec-op total (written by the
-// baseline/cached/tree execution paths); run_noisy snapshots it around the
+// baseline loop and the tree executor); run_noisy snapshots it around the
 // run so TelemetrySummary::measured_ops is this run's delta.
 telemetry::Counter g_matvec_ops("sim.matvec_ops");
 
@@ -45,8 +48,13 @@ std::vector<Trial> make_trials(const Circuit& circuit, const CircuitContext& ctx
   return generate_trials(circuit, ctx.layering, noise, config.num_trials, rng);
 }
 
+/// Observable sums to means, plus the accounting every mode derives from
+/// the trial set and result.ops.
 void fill_common(NoisyRunResult& result, const CircuitContext& ctx,
                  const std::vector<Trial>& trials) {
+  for (double& mean : result.observable_means) {
+    mean /= static_cast<double>(std::max<std::size_t>(1, trials.size()));
+  }
   result.baseline_ops = baseline_op_count(ctx, trials);
   result.trial_stats = compute_trial_stats(trials);
   result.normalized_computation =
@@ -64,6 +72,26 @@ void fill_common(NoisyRunResult& result, const CircuitContext& ctx,
 
 }  // namespace
 
+void fill_tree_result(NoisyRunResult& result, const CircuitContext& ctx,
+                      const std::vector<Trial>& trials, const ExecTree& tree,
+                      const TreeExecStats& stats) {
+  // Report the schedule's MSV — the deterministic bound admission control
+  // enforces — rather than the timing-dependent transient peak.
+  result.max_live_states = tree.peak_demand;
+  result.fork_copies = stats.fork_copies;
+  result.telemetry.steals = stats.steals;
+  result.telemetry.inline_fallbacks = stats.inline_fallbacks;
+  result.telemetry.cow_materializations = stats.cow_materializations;
+  result.telemetry.pool_reuses = stats.pool_reuses;
+  result.telemetry.pool_allocs = stats.pool_allocs;
+  result.telemetry.pool_prewarmed = stats.prewarmed;
+  result.telemetry.peak_live_states = stats.max_live_states;
+  result.telemetry.frame_collapsed_trials = stats.frame_collapsed_trials;
+  result.telemetry.frame_ops = stats.frame_ops;
+  result.telemetry.uncomputations = stats.uncomputations;
+  fill_common(result, ctx, trials);
+}
+
 NoisyRunResult run_noisy(const Circuit& circuit, const NoiseModel& noise,
                          const NoisyRunConfig& config) {
   RQSIM_SPAN("runner.run_noisy");
@@ -72,59 +100,61 @@ NoisyRunResult run_noisy(const Circuit& circuit, const NoiseModel& noise,
   const bool measured = telemetry::compiled() && telemetry::enabled();
   const std::uint64_t ops_before = measured ? g_matvec_ops.value() : 0;
   circuit.validate();
+  RQSIM_CHECK(config.mode != ExecutionMode::kCachedUnordered,
+              "run_noisy: the unordered-cache ablation is accounting-only; "
+              "use analyze_noisy");
+  RQSIM_CHECK(config.num_threads <= 1 || config.mode == ExecutionMode::kCachedReordered,
+              "run_noisy: num_threads > 1 requires the cached mode");
+  for (const PauliString& pauli : config.observables) {
+    RQSIM_CHECK(pauli.min_qubits() <= circuit.num_qubits(),
+                "run_noisy: observable acts on qubits beyond the circuit");
+  }
   CircuitContext ctx(circuit);
   Rng rng(config.seed);
   std::vector<Trial> trials = make_trials(circuit, ctx, noise, config, rng, "run_noisy");
   // Per-trial measurement seeds (assigned in generation order, before any
-  // reorder): sampling becomes independent of finish order, which makes
-  // every execution strategy — baseline, sequential cached, chunked, and
-  // the parallel tree executor — produce bitwise-identical histograms.
+  // reorder): sampling becomes independent of finish order, which makes the
+  // baseline loop and the prefix tree at any thread count produce
+  // bitwise-identical histograms.
   assign_measurement_seeds(trials, rng);
 
   NoisyRunResult result;
-  switch (config.mode) {
-    case ExecutionMode::kBaseline: {
-      RQSIM_SPAN("runner.baseline_simulate");
-      SvRunResult run = baseline_simulate(ctx, trials, rng, /*record_final_states=*/false,
-                                          &config.observables, config.fuse_gates,
-                                          /*use_trial_seeds=*/true);
-      result.histogram = std::move(run.histogram);
-      result.ops = run.ops;
-      result.max_live_states = run.max_live_states;
-      result.fork_copies = run.fork_copies;
-      result.observable_means = std::move(run.observable_sums);
-      break;
+  if (config.mode == ExecutionMode::kBaseline) {
+    RQSIM_SPAN("runner.baseline_simulate");
+    SvRunResult run = baseline_simulate(ctx, trials, &config.observables, config.fuse_gates);
+    result.histogram = std::move(run.histogram);
+    result.ops = run.ops;
+    result.max_live_states = run.max_live_states;
+    result.observable_means = std::move(run.observable_sums);
+    result.telemetry.peak_live_states = result.max_live_states;
+    fill_common(result, ctx, trials);
+  } else {
+    RQSIM_SPAN("runner.cached_schedule");
+    reorder_trials(trials);
+    ScheduleOptions options;
+    options.max_states = config.max_states;
+    // Frame collapse needs the per-gate Clifford structure (hidden by fused
+    // segments) and Pauli error injections (guaranteed by the noise model's
+    // channel set).
+    options.frame_collapse =
+        config.frame_collapse && !config.fuse_gates && noise.all_channels_pauli();
+    options.frame_observables = !config.observables.empty();
+    const ExecTree tree = build_exec_tree(ctx, trials, options);
+    if (config.verify_plans) {
+      verify_tree_plan_or_throw(ctx, trials, tree, options, "run_noisy");
     }
-    case ExecutionMode::kCachedReordered: {
-      RQSIM_SPAN("runner.cached_schedule");
-      reorder_trials(trials);
-      SvBackend backend(ctx, rng, /*record_final_states=*/false, &config.observables,
-                        config.fuse_gates, /*use_trial_seeds=*/true);
-      ScheduleOptions options;
-      options.max_states = config.max_states;
-      if (config.verify_plans) {
-        verify_schedule_or_throw(ctx, trials, options, "run_noisy");
-      }
-      schedule_trials(ctx, trials, backend, options);
-      result.telemetry.pool_reuses = backend.buffer_pool().reuse_count();
-      result.telemetry.pool_allocs = backend.buffer_pool().alloc_count();
-      SvRunResult run = backend.take_result();
-      result.histogram = std::move(run.histogram);
-      result.ops = run.ops;
-      result.max_live_states = run.max_live_states;
-      result.fork_copies = run.fork_copies;
-      result.observable_means = std::move(run.observable_sums);
-      break;
-    }
-    case ExecutionMode::kCachedUnordered:
-      RQSIM_CHECK(false,
-                  "run_noisy: the unordered-cache ablation is accounting-only; "
-                  "use analyze_noisy");
+    TreeExecConfig exec_config;
+    exec_config.num_threads = std::clamp<std::size_t>(
+        config.num_threads, 1, std::max<std::size_t>(1, trials.size()));
+    exec_config.max_states = config.max_states;
+    exec_config.fuse_gates = config.fuse_gates;
+    SampledTrialSink sink(ctx, trials, &config.observables);
+    const TreeExecStats stats = execute_tree(ctx, tree, trials, exec_config, sink);
+    result.histogram = sink.take_histogram();
+    result.ops = stats.ops;
+    result.observable_means = sink.take_observable_sums();
+    fill_tree_result(result, ctx, trials, tree, stats);
   }
-  for (double& mean : result.observable_means) {
-    mean /= static_cast<double>(std::max<std::size_t>(1, trials.size()));
-  }
-  fill_common(result, ctx, trials);
   // A concurrent run (service with multiple workers) would fold its ops
   // into our counter delta; report measured=false rather than an inflated
   // measured_ops that no longer equals result.ops.
@@ -132,7 +162,6 @@ NoisyRunResult run_noisy(const Circuit& circuit, const NoiseModel& noise,
   if (result.telemetry.measured) {
     result.telemetry.measured_ops = g_matvec_ops.value() - ops_before;
   }
-  result.telemetry.peak_live_states = result.max_live_states;
   result.telemetry.wall_ms = stopwatch.elapsed_ms();
   return result;
 }

@@ -2,7 +2,10 @@
 // Monte Carlo simulation result, in any of three execution modes.
 //
 //   run_noisy      — real statevector execution (outcome histogram), for
-//                    circuits small enough to hold amplitudes.
+//                    circuits small enough to hold amplitudes. The cached
+//                    mode builds the prefix tree of the reordered trials and
+//                    runs it on the work-stealing executor
+//                    (sched/tree_exec.hpp) at every thread count.
 //   analyze_noisy  — accounting only (ops, MSV); scales to any qubit count
 //                    because no statevector is ever allocated. This is the
 //                    entry point of the paper's scalability experiments.
@@ -13,7 +16,7 @@
 #include "circuit/circuit.hpp"
 #include "noise/noise_model.hpp"
 #include "obs/pauli_string.hpp"
-#include "sched/backend.hpp"
+#include "sched/tree_exec.hpp"
 #include "trial/stats.hpp"
 
 namespace rqsim {
@@ -41,22 +44,6 @@ enum class ExecutionMode {
   kCachedUnordered,   // ablation: prefix caching without the reorder
 };
 
-/// Multi-threaded strategy for run_noisy_parallel (sched/parallel.hpp).
-enum class ParallelMode {
-  /// Work-stealing prefix-tree executor (sched/tree_exec.hpp): the full
-  /// trial trie is built once and its subtrees are executed by a worker
-  /// pool — every shared prefix is computed exactly once globally, so the
-  /// total op count equals the sequential cached schedule's regardless of
-  /// thread count.
-  kTree,
-
-  /// Legacy chunked parallelism: contiguous chunks of the reordered trial
-  /// list, one independent sequential scheduler per chunk. Prefixes shared
-  /// *across* chunk boundaries are recomputed per chunk (reported as
-  /// redundant_prefix_ops).
-  kChunked,
-};
-
 struct NoisyRunConfig {
   std::size_t num_trials = 1024;
   std::uint64_t seed = 1;
@@ -78,12 +65,12 @@ struct NoisyRunConfig {
   /// result.observable_means[k] = mean over trials of ⟨P_k⟩.
   std::vector<PauliString> observables;
 
-  /// Strategy used when this config reaches run_noisy_parallel (ignored by
-  /// the sequential entry points). Lives here rather than on
-  /// ParallelRunConfig so service job configs carry it through batching.
-  ParallelMode parallel_mode = ParallelMode::kTree;
+  /// Worker threads of the cached run's prefix-tree executor; 0 or 1 runs
+  /// on the calling thread. Results are bitwise identical at every count.
+  /// kBaseline runs on the calling thread and rejects values above 1.
+  std::size_t num_threads = 1;
 
-  /// Pauli-frame subtree collapse (tree-mode parallel runs only). Groups
+  /// Pauli-frame subtree collapse (cached runs, any thread count). Groups
   /// of trials whose injected errors propagate to the end of the circuit
   /// as pure Pauli frames (Clifford-only downstream path) never fork a
   /// statevector: they finish on their node's shared buffer, the frame
@@ -96,7 +83,8 @@ struct NoisyRunConfig {
 
   /// Statically verify the reorder schedule before executing it (cached
   /// modes): lexicographic trial order, checkpoint stack discipline, the
-  /// MSV bound, and exact op-count telescoping (verify/plan_verifier.hpp).
+  /// MSV bound, exact op-count telescoping, and for run_noisy the prefix
+  /// tree's op-for-op equality with that schedule (verify/plan_verifier.hpp).
   /// Throws rqsim::Error with the proof diagnostic on any violation.
   /// Defaults on in debug builds, off in release (kVerifyPlansDefault).
   bool verify_plans = kVerifyPlansDefault;
@@ -136,11 +124,11 @@ struct TelemetrySummary {
   /// simulation), telemetry clock.
   double wall_ms = 0.0;
 
-  /// Tree-executor scheduling dynamics (parallel tree runs; zero elsewhere).
+  /// Tree-executor scheduling dynamics (cached runs; zero elsewhere).
   std::uint64_t steals = 0;
   std::uint64_t inline_fallbacks = 0;
 
-  /// Copy-on-write checkpoint traffic (parallel tree runs): 2^n copies
+  /// Copy-on-write checkpoint traffic (cached runs): 2^n copies
   /// actually materialized by first-writes to shared buffers. The deficit
   /// against NoisyRunResult::fork_copies is the copies CoW eliminated.
   std::uint64_t cow_materializations = 0;
@@ -155,7 +143,7 @@ struct TelemetrySummary {
   /// Peak concurrently live statevectors actually observed at run time.
   std::size_t peak_live_states = 0;
 
-  /// Pauli-frame collapse (tree-mode parallel runs with frame_collapse):
+  /// Pauli-frame collapse (cached runs with frame_collapse):
   /// trials finished as tracked frames on a shared buffer instead of
   /// forked statevectors, and the conjugation-table lookups their
   /// propagation cost (integer bookkeeping, never matvec ops).
@@ -182,7 +170,7 @@ struct NoisyRunResult {
   double normalized_computation = 1.0;
 
   /// Maximum concurrently maintained state vectors (the paper's MSV).
-  /// For tree-mode parallel runs this is the schedule's sequential MSV
+  /// For cached runs this is the schedule's sequential MSV
   /// (tree peak demand) — the deterministic bound admission control
   /// enforces — not the timing-dependent transient peak.
   std::size_t max_live_states = 1;
@@ -190,11 +178,6 @@ struct NoisyRunResult {
   /// Checkpoint copies made at branch points (the schedule's only
   /// duplicated work; not matrix-vector ops).
   std::uint64_t fork_copies = 0;
-
-  /// Parallel runs only: ops spent recomputing prefixes that a single
-  /// sequential scheduler would have shared. Zero in tree mode by
-  /// construction; for chunked mode, ops - (sequential cached ops).
-  opcount_t redundant_prefix_ops = 0;
 
   /// Statistics of the generated trial set.
   TrialSetStats trial_stats;
@@ -208,8 +191,23 @@ struct NoisyRunResult {
 
 /// Statevector execution. The circuit must be decomposed to 1-/2-qubit
 /// gates and small enough for explicit amplitudes (<= 30 qubits).
+/// kCachedReordered builds the reordered trials' prefix tree, proves it when
+/// config.verify_plans is set, and executes it on config.num_threads
+/// workers; histograms and observable means are bitwise identical at every
+/// thread count and to the kBaseline histogram of the same seed.
 NoisyRunResult run_noisy(const Circuit& circuit, const NoiseModel& noise,
                          const NoisyRunConfig& config);
+
+/// Complete a result whose prefix tree has executed: copies the executor
+/// counters from `tree`/`stats`, turns the observable sums held in
+/// result.observable_means into means over `trials`, and derives the
+/// trial-set accounting (baseline ops, trial statistics, normalized
+/// computation, cache-hit ratio) against result.ops, which the caller sets
+/// first. Shared by run_noisy and the service batch planner, which sets
+/// result.ops to a job's attributed share of the merged schedule.
+void fill_tree_result(NoisyRunResult& result, const CircuitContext& ctx,
+                      const std::vector<Trial>& trials, const ExecTree& tree,
+                      const TreeExecStats& stats);
 
 /// Accounting-only execution (no amplitudes). Valid for any qubit count.
 NoisyRunResult analyze_noisy(const Circuit& circuit, const NoiseModel& noise,

@@ -44,6 +44,10 @@ class TreeBuilder {
       return tree;
     }
     tree_ = &tree;
+    // One node per trial plus the root covers every tree whose trials do
+    // not share two or more leading events, which is nearly all of them;
+    // reserving it avoids reallocating the node array while it grows.
+    tree.nodes.reserve(trials_.size() + 1);
     build_branch(kNoNode, nullptr, 0, trials_.size(), /*event_depth=*/0,
                  /*depth=*/0, /*entry_frontier=*/0);
     tree.planned_forks = tree.nodes.size() - 1;

@@ -5,9 +5,8 @@
 // trials. schedule_trials (sched/plan.hpp) performs that walk implicitly by
 // recursing over the sorted list; this module materializes the tree once so
 // it can be executed *as a tree* — each ready subtree is an independent
-// task, which is what lets the parallel executor (sched/tree_exec.hpp)
-// preserve the paper's op count under multi-threading instead of paying the
-// chunked-mode prefix re-execution.
+// task, which is what lets the executor (sched/tree_exec.hpp) keep the
+// paper's op count at any thread count: no shared prefix is executed twice.
 //
 // Node semantics mirror the sequential walker exactly:
 //

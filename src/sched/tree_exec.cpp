@@ -27,8 +27,7 @@ namespace rqsim {
 
 namespace {
 
-/// Free buffers retained across the run (same default the single-threaded
-/// SvBackend pool uses).
+/// Free buffers retained across the run.
 constexpr std::size_t kMaxPooledBuffers = 64;
 
 /// Total bytes of zero-filled buffers prewarm may page in before workers
@@ -37,7 +36,7 @@ constexpr std::size_t kMaxPooledBuffers = 64;
 constexpr std::size_t kPrewarmByteCap = std::size_t{512} << 20;
 
 // "sim.matvec_ops" mirrors the per-worker ops accumulation (same logical
-// metric as SvBackend/baseline, interned by name) so the runtime total
+// metric as the baseline loop, interned by name) so the runtime total
 // reconciles bitwise with TreeExecStats::ops and the PlanVerifier proof.
 telemetry::Counter g_matvec_ops("sim.matvec_ops");
 telemetry::Counter g_steals("tree_exec.steals");
@@ -871,8 +870,7 @@ void SampledTrialSink::on_finish_group(std::size_t node, std::size_t first_trial
   if (!expectations_.empty()) {
     const std::size_t k_count = observables_->size();
     // One evaluation per finishing buffer, shared by every trial in the
-    // group — the same caching granularity SvBackend's per-checkpoint
-    // cache realizes, so the stored doubles are bitwise identical.
+    // group; each trial's value is bitwise what its own state evaluates to.
     std::vector<double> values(k_count);
     for (std::size_t k = 0; k < k_count; ++k) {
       values[k] = expectation(state, (*observables_)[k]);
@@ -937,8 +935,8 @@ std::vector<double> SampledTrialSink::take_observable_sums() {
   if (expectations_.empty()) {
     return sums;
   }
-  // Trial-index order == the sequential scheduler's finish order, so this
-  // reduction reproduces SvBackend's accumulation bit for bit.
+  // Trial-index order == the sequential schedule's finish order, fixed
+  // whatever the thread count.
   for (std::size_t t = 0; t < trials_.size(); ++t) {
     for (std::size_t k = 0; k < k_count; ++k) {
       sums[k] += expectations_[t * k_count + k];

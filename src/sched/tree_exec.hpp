@@ -21,9 +21,8 @@
 // the *front* of a victim's deque, taking the oldest (largest) chunk.
 //
 // Zero redundancy: every advance/error of the tree schedule is executed by
-// exactly one worker exactly once, so the multi-threaded op count equals
-// the sequential cached schedule's op count — unlike chunked parallelism,
-// which re-executes shared prefixes once per chunk. verify_tree_plan
+// exactly one worker exactly once, so the op count equals the sequential
+// cached schedule's op count at every thread count. verify_tree_plan
 // (verify/plan_verifier.hpp) proves the schedule-level equality statically;
 // the executor's own counters confirm it at run time.
 //
@@ -42,8 +41,8 @@
 // statevectors is globally bounded by max_states — the same bound the
 // sequential scheduler guarantees, not a per-chunk copy of it.
 //
-// Determinism: results are bitwise identical to the sequential scheduler
-// for any thread count and any interleaving. Outcome sampling draws from
+// Determinism: results are bitwise identical for any thread count and any
+// interleaving, and the histogram equals the baseline loop's. Outcome sampling draws from
 // each trial's private Rng(meas_seed); per-trial outcomes and observable
 // values land in disjoint slots and are reduced in trial-index order —
 // which is exactly the sequential finish order — on the calling thread.
@@ -105,11 +104,13 @@ struct TreeExecConfig {
 
   /// When the MSV token bank refuses a chunk's reservation, try running it
   /// as an *uncompute* task first (1 token: the chunk's replay leaves run
-  /// in place on one buffer, restored bitwise between trials by inverse
-  /// gates) before falling back to inline execution. Requires the leaves'
-  /// paths to be fp-exact-invertible (TreeNode::uncompute_ok) and is
-  /// skipped under fuse_gates (fused forward segments are not inverted
-  /// gate-by-gate).
+  /// in place on one buffer, restored between trials by inverse gates)
+  /// before falling back to inline execution. Requires the leaves' paths to
+  /// be fp-exact-invertible (TreeNode::uncompute_ok) and is skipped under
+  /// fuse_gates (fused forward segments are not inverted gate-by-gate).
+  /// The restore is exact up to the sign of zero amplitudes: Z-type phases
+  /// (Z, S, Sdg, CZ and Pauli Z errors) can leave -0.0 where +0.0 was, which
+  /// changes no nonzero amplitude, probability or sampled outcome.
   bool allow_uncompute = true;
 };
 
@@ -169,8 +170,8 @@ TreeExecStats execute_tree(const CircuitContext& ctx, const ExecTree& tree,
 
 /// Standard sink: per-trial outcome sampling from Rng(trial.meas_seed),
 /// histogram assembly, and per-trial observable evaluation with the final
-/// reduction in trial-index order (bitwise equal to the sequential
-/// scheduler's finish-order accumulation).
+/// reduction in trial-index order (the sequential schedule's finish order),
+/// so the sums do not depend on the thread count.
 class SampledTrialSink : public TreeTrialSink {
  public:
   SampledTrialSink(const CircuitContext& ctx, const std::vector<Trial>& trials,

@@ -105,12 +105,11 @@ class BatchSink : public TreeTrialSink {
 
 }  // namespace
 
-BatchExecution execute_batch(const std::vector<const JobSpec*>& jobs,
-                             std::size_t num_threads) {
+BatchExecution execute_batch(const std::vector<const JobSpec*>& jobs) {
   // Batches write the global "sim.matvec_ops" counter; holding the scope
-  // lets concurrently measured runs (run_noisy / run_noisy_parallel on
-  // other service workers) detect the overlap and drop their counter delta
-  // instead of absorbing this batch's ops.
+  // lets concurrently measured runs (run_noisy on other service workers)
+  // detect the overlap and drop their counter delta instead of absorbing
+  // this batch's ops.
   const telemetry::MeasuredRunScope run_scope;
   RQSIM_CHECK(!jobs.empty(), "execute_batch: empty batch");
   for (const JobSpec* spec : jobs) {
@@ -208,7 +207,6 @@ BatchExecution execute_batch(const std::vector<const JobSpec*>& jobs,
 
   plan_span.reset();
   TreeExecConfig exec_config;
-  exec_config.num_threads = num_threads;
   exec_config.max_states = options.max_states;
   exec_config.fuse_gates = lead.config.fuse_gates;
   BatchSink sink(ctx, merged, origins, job_observables);
@@ -238,17 +236,7 @@ BatchExecution execute_batch(const std::vector<const JobSpec*>& jobs,
 
     result.observable_means.assign(jobs[j]->config.observables.size(), 0.0);
     sink.reduce_job(j, result.histogram, result.observable_means);
-    for (double& mean : result.observable_means) {
-      mean /= static_cast<double>(std::max<std::size_t>(1, job_trials[j].size()));
-    }
-    result.max_live_states = tree.peak_demand;
-    result.fork_copies = stats.fork_copies;
-    result.baseline_ops = baseline_op_count(ctx, job_trials[j]);
-    result.trial_stats = compute_trial_stats(job_trials[j]);
-    result.normalized_computation =
-        result.baseline_ops == 0
-            ? 1.0
-            : static_cast<double>(result.ops) / static_cast<double>(result.baseline_ops);
+    fill_tree_result(result, ctx, job_trials[j], tree, stats);
   }
   return out;
 }

@@ -12,13 +12,14 @@
 // job; in particular the error-free full-circuit pass, which dominates at
 // realistic error rates, is paid exactly once.
 //
-// Execution rides on the work-stealing prefix-tree executor
-// (sched/tree_exec.hpp): the merged trial list becomes one trie and its
-// subtrees run on `num_threads` workers with zero redundant prefix work.
+// Execution rides on the prefix-tree executor (sched/tree_exec.hpp): the
+// merged trial list becomes one trie, run on one worker with zero redundant
+// prefix work. Only single-threaded, unframed jobs are batch-compatible
+// (service/job.hpp); the others run alone through run_noisy.
 //
 // Bitwise equivalence guarantee (unfused kernels): each job's histogram and
 // observable means are identical to a standalone `run_noisy` with the same
-// config, at any thread count. This holds because
+// config. This holds because
 //   1. each job's trials are generated from its own Rng(seed) and given
 //      per-trial measurement seeds at exactly run_noisy's stream
 //      positions, then reordered with the same sort before merging;
@@ -61,10 +62,10 @@ struct BatchExecution {
 };
 
 /// Execute `jobs` (all mutually batch_compatible; see service/job.hpp) as
-/// one merged prefix-tree schedule on `num_threads` workers. A single job
-/// degenerates to the exact standalone run_noisy schedule. Throws
-/// rqsim::Error on invalid specs.
-BatchExecution execute_batch(const std::vector<const JobSpec*>& jobs,
-                             std::size_t num_threads = 1);
+/// one merged prefix-tree schedule. A single job degenerates to the exact
+/// standalone run_noisy schedule. Per-job results are completed by
+/// run_noisy's own fill (fill_tree_result). Throws rqsim::Error on invalid
+/// specs.
+BatchExecution execute_batch(const std::vector<const JobSpec*>& jobs);
 
 }  // namespace rqsim

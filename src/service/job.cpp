@@ -120,15 +120,16 @@ std::uint64_t batch_fingerprint(const JobSpec& spec) {
   fnv.mix(static_cast<std::uint64_t>(spec.config.fuse_gates));
   fnv.mix(static_cast<std::uint64_t>(spec.config.frame_collapse));
   fnv.mix(static_cast<std::uint64_t>(spec.analyze_only));
-  fnv.mix(static_cast<std::uint64_t>(spec.num_threads > 1));
+  fnv.mix(static_cast<std::uint64_t>(spec.config.num_threads > 1));
   return fnv.h;
 }
 
 bool batch_compatible(const JobSpec& a, const JobSpec& b) {
-  // Only serial statevector cached-reordered jobs are merged: the batch
-  // planner's bitwise-equivalence guarantee relies on the single-threaded
-  // prefix-cache schedule (see service/batch.hpp).
-  if (a.analyze_only || b.analyze_only || a.num_threads > 1 || b.num_threads > 1) {
+  // Only serial, unframed statevector cached-reordered jobs are merged: the
+  // merged schedule runs on one worker and is never frame-collapsed (see
+  // service/batch.hpp), so a job asking for either runs alone.
+  if (a.analyze_only || b.analyze_only || a.config.num_threads > 1 ||
+      b.config.num_threads > 1 || a.config.frame_collapse || b.config.frame_collapse) {
     return false;
   }
   if (a.config.mode != ExecutionMode::kCachedReordered ||
@@ -136,8 +137,7 @@ bool batch_compatible(const JobSpec& a, const JobSpec& b) {
     return false;
   }
   if (a.config.max_states != b.config.max_states ||
-      a.config.fuse_gates != b.config.fuse_gates ||
-      a.config.frame_collapse != b.config.frame_collapse) {
+      a.config.fuse_gates != b.config.fuse_gates) {
     return false;
   }
   return same_circuit(a.circuit, b.circuit) &&

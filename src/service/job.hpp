@@ -1,12 +1,12 @@
 // Job model of the simulation service.
 //
 // A job is one complete noisy-simulation request — a prepared circuit, a
-// noise model, and a NoisyRunConfig — plus scheduling metadata (priority)
-// and an execution-mode selector (statevector / parallel statevector /
-// accounting-only). Results extend NoisyRunResult with queue/execution
-// timing and batch attribution: when the batch planner coalesces several
-// compatible jobs into one merged schedule (service/batch.hpp), each job
-// records the combined batch cost next to what it would have cost alone.
+// noise model, and a NoisyRunConfig (thread count included) — plus
+// scheduling metadata (priority) and an accounting-only selector. Results
+// extend NoisyRunResult with queue/execution timing and batch attribution:
+// when the batch planner coalesces several compatible jobs into one merged
+// schedule (service/batch.hpp), each job records the combined batch cost
+// next to what it would have cost alone.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +35,9 @@ const char* job_priority_name(JobPriority priority);
 struct JobSpec {
   Circuit circuit;   // must already be decomposed to 1-/2-qubit gates
   NoiseModel noise;  // must cover circuit.num_qubits()
+  /// config.num_threads > 1 and config.frame_collapse jobs are never
+  /// batched with other jobs; they run alone through run_noisy.
   NoisyRunConfig config;
-
-  /// > 1 runs through run_noisy_parallel (never batched with other jobs).
-  std::size_t num_threads = 1;
 
   /// Accounting-only execution via analyze_noisy (no statevector).
   bool analyze_only = false;
@@ -100,12 +99,15 @@ struct JobStatus {
 
 /// Content fingerprint of the workload portion of a spec that must match
 /// for two jobs to be batchable: circuit structure, noise rates, execution
-/// mode, MSV budget, and fusion setting. Seed, trial count, observables and
-/// priority are deliberately excluded — they vary freely within a batch.
+/// mode, MSV budget, fusion and frame settings. Seed, trial count,
+/// observables and priority are deliberately excluded — they vary freely
+/// within a batch.
 std::uint64_t batch_fingerprint(const JobSpec& spec);
 
 /// Exact batchability check (fingerprint equality plus a field-by-field
 /// comparison, so hash collisions can never merge distinct workloads).
+/// Multi-threaded and frame-collapse jobs are never batchable: the merged
+/// schedule runs on one worker and never frame-collapses.
 bool batch_compatible(const JobSpec& a, const JobSpec& b);
 
 }  // namespace rqsim

@@ -459,7 +459,7 @@ Json ProtocolHandler::handle_submit(const Json& request) {
         static_cast<std::size_t>(request.get_u64("max_states", 0));
     spec.config.fuse_gates = request.get_bool("fuse", false);
     spec.config.frame_collapse = request.get_bool("frames", false);
-    spec.num_threads = static_cast<std::size_t>(request.get_u64("threads", 1));
+    spec.config.num_threads = static_cast<std::size_t>(request.get_u64("threads", 1));
     spec.analyze_only = request.get_bool("analyze", false);
     spec.priority = priority_from_string(request.get_string("priority", "normal"));
     spec.tenant = request.get_string("tenant", "");

@@ -89,10 +89,10 @@ struct SubmitParams {
   std::string priority = "normal";  // low | normal | high
   bool analyze = false;
   bool fuse = false;
-  /// Pauli-frame subtree collapse (NoisyRunConfig::frame_collapse):
-  /// tree-mode parallel runs finish Clifford-propagatable trials as
-  /// tracked frames instead of forked statevectors. Bitwise-identical
-  /// results, fewer matvec ops.
+  /// Pauli-frame subtree collapse (NoisyRunConfig::frame_collapse): cached
+  /// runs finish Clifford-propagatable trials as tracked frames instead of
+  /// forked statevectors. Bitwise-identical results, fewer matvec ops.
+  /// Framed jobs always run unmerged.
   bool frames = false;
   std::string tenant;  // fair-share identity; empty = anonymous
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "sched/parallel.hpp"
 #include "service/batch.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
@@ -53,14 +52,14 @@ std::string SimService::validate_spec(const JobSpec& spec) {
     RQSIM_CHECK(spec.noise.num_qubits() >= spec.circuit.num_qubits(),
                 "noise model covers fewer qubits than the circuit");
     validate_run_limits(spec.config, "job");
-    RQSIM_CHECK(spec.num_threads <= 1024,
+    RQSIM_CHECK(spec.config.num_threads <= 1024,
                 "num_threads exceeds the supported maximum (overflowed or "
                 "negative value?)");
     if (!spec.analyze_only) {
       RQSIM_CHECK(spec.circuit.num_qubits() <= 30,
                   "statevector jobs are limited to 30 qubits; use analyze_only");
     }
-    if (spec.num_threads > 1) {
+    if (spec.config.num_threads > 1) {
       RQSIM_CHECK(!spec.analyze_only, "parallel execution is statevector-only");
       RQSIM_CHECK(spec.config.mode == ExecutionMode::kCachedReordered,
                   "parallel execution supports only the cached mode");
@@ -215,9 +214,7 @@ std::vector<SimService::Job*> SimService::claim_batch_locked() {
 
   // Gather batchable followers (any priority — riding along never delays
   // them) while respecting the batch size cap.
-  if (config_.max_batch_jobs > 1 &&
-      !lead.spec.analyze_only && lead.spec.num_threads <= 1 &&
-      lead.spec.config.mode == ExecutionMode::kCachedReordered) {
+  if (config_.max_batch_jobs > 1) {
     for (auto it = queue_.begin();
          it != queue_.end() && group.size() < config_.max_batch_jobs;) {
       Job& candidate = jobs_.at(*it);
@@ -255,30 +252,18 @@ void SimService::execute_batch_group(const std::vector<Job*>& group) {
     if (group.size() > 1) {
       std::vector<const JobSpec*> specs;
       specs.reserve(group.size());
-      std::size_t threads = 1;
       for (const Job* job : group) {
         specs.push_back(&job->spec);
-        // Any job's thread request benefits the whole merged schedule;
-        // results are bitwise independent of the thread count.
-        threads = std::max(threads, job->spec.num_threads);
       }
-      BatchExecution batch = execute_batch(specs, threads);
+      BatchExecution batch = execute_batch(specs);
       runs = std::move(batch.per_job);
       solo_ops = std::move(batch.solo_ops);
       batch_ops = batch.batch_ops;
     } else {
       const JobSpec& spec = group.front()->spec;
-      NoisyRunResult run;
-      if (spec.analyze_only) {
-        run = analyze_noisy(spec.circuit, spec.noise, spec.config);
-      } else if (spec.num_threads > 1) {
-        ParallelRunConfig config;
-        static_cast<NoisyRunConfig&>(config) = spec.config;
-        config.num_threads = spec.num_threads;
-        run = run_noisy_parallel(spec.circuit, spec.noise, config);
-      } else {
-        run = run_noisy(spec.circuit, spec.noise, spec.config);
-      }
+      NoisyRunResult run = spec.analyze_only
+                               ? analyze_noisy(spec.circuit, spec.noise, spec.config)
+                               : run_noisy(spec.circuit, spec.noise, spec.config);
       batch_ops = run.ops;
       solo_ops.push_back(run.ops);
       runs.push_back(std::move(run));

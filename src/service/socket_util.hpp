@@ -6,8 +6,8 @@
 // syscall layer they share: listen/accept setup, connect with an optional
 // timeout, full-buffer sends, and a bounded line reader that turns a
 // too-long line into a recoverable protocol error instead of unbounded
-// buffering. Source rule 6 (scripts/check_source_rules.sh) confines raw
-// socket syscalls to src/service/ and src/router/, so every other layer
+// buffering. Analyzer rule RQS006 (tools/analyze) confines raw socket
+// syscalls to src/service/ and src/router/, so every other layer
 // goes through ServiceClient or these helpers.
 #pragma once
 

@@ -7,8 +7,8 @@
 // page-faulting allocation, so checkpoint copies never use the copy
 // constructor directly — they go through StateBufferPool::acquire_copy
 // (recycled buffers) or CowState (sim/buffer_pool.hpp), which defers the
-// copy until the buffer is first written. check_source_rules.sh rule 5
-// enforces this outside sim/buffer_pool.*.
+// copy until the buffer is first written. Analyzer rule RQS005
+// (tools/analyze) enforces this outside sim/buffer_pool.*.
 #pragma once
 
 #include <cstdint>

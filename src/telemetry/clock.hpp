@@ -1,8 +1,8 @@
 #pragma once
 
 // The project's single sanctioned home for monotonic wallclock timing.
-// Source rule 4 (scripts/check_source_rules.sh) bans std::chrono::steady_clock
-// and high_resolution_clock everywhere outside src/telemetry/ and src/common/,
+// Analyzer rule RQS004 (tools/analyze) bans std::chrono::steady_clock and
+// high_resolution_clock everywhere outside src/telemetry/ and src/common/,
 // so every layer that needs "how long did this take" goes through these
 // helpers (or through trace spans, which use the same clock). That keeps one
 // clock domain across metrics, traces and service latencies — mixing clocks

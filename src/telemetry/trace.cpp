@@ -108,7 +108,7 @@ TraceRegistry& trace_registry() {
 }
 
 // Buffer creation is deferred to the first admitted event: short-lived
-// worker threads (the tree/chunked executors spawn a fresh pool per run)
+// worker threads (the tree executor spawns a fresh pool per run)
 // call set_thread_lane unconditionally, and eagerly allocating the
 // kMaxEventsPerThread reservation for each would grow the registry by
 // ~2 MB per thread per run in processes that never trace (a long-running

@@ -52,8 +52,8 @@ struct Trial {
   /// trial/generator.hpp, assign_measurement_seeds). Sampling from a
   /// per-trial seed instead of one shared stream makes the sampled
   /// histogram independent of execution order, which is what lets the
-  /// parallel tree executor reproduce the sequential scheduler's results
-  /// bit for bit under any thread interleaving.
+  /// tree executor at any thread count and the baseline loop produce the
+  /// same histogram bit for bit under any thread interleaving.
   std::uint64_t meas_seed = 0;
 
   std::size_t num_errors() const { return events.size(); }

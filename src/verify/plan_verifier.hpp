@@ -25,10 +25,9 @@
 // check runs on the recorded stream — not on the scheduler's internal
 // state — a corrupted schedule cannot vouch for itself.
 //
-// Execution entry points (run_noisy, run_noisy_parallel, execute_batch)
-// run this pass before touching amplitudes when
-// NoisyRunConfig::verify_plans is set; the `rqsim verify` CLI verb runs it
-// standalone and prints the artifacts.
+// Execution entry points (run_noisy, execute_batch) run the tree-plan pass
+// before touching amplitudes when NoisyRunConfig::verify_plans is set; the
+// `rqsim verify` CLI verb runs it standalone and prints the artifacts.
 #pragma once
 
 #include <cstddef>

@@ -5,9 +5,8 @@
 //
 // Fixture corpus: tools/analyze/fixtures/<name>.cpp (or .hpp) next to
 // <name>.expect, one "<rule> <line>" pair per line (empty file = the
-// fixture must produce no diagnostics). The same rule1..rule6 fixtures
-// back scripts/check_source_rules.sh --self-test, so the analyzer and the
-// grep fallback are pinned to the same corpus.
+// fixture must produce no diagnostics). The rule1..rule6 fixtures cover
+// RQS001–RQS006.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -82,7 +81,7 @@ TEST(AnalyzerSourceRules, RngFixtureMatchesGolden) {
 }
 
 TEST(AnalyzerSourceRules, RngAliasFixtureNeedsTokenLevelResolution) {
-  // No `std::` spelling in the fixture — the grep fallback cannot flag it.
+  // No `std::` spelling in the fixture — a line regex cannot flag it.
   expect_golden(run_source_fixture("rule2_rng_alias.cpp"), "rule2_rng_alias.cpp");
 }
 

@@ -8,7 +8,7 @@
 #include "bench_circuits/qft.hpp"
 #include "common/rng.hpp"
 #include "noise/noise_model.hpp"
-#include "sched/backend.hpp"
+#include "recording_sink.hpp"
 #include "sched/order.hpp"
 #include "sched/plan.hpp"
 #include "sim/buffer_pool.hpp"
@@ -241,9 +241,9 @@ TEST(CowState, ConcurrentLastOwnerRace) {
   }
 }
 
-// The cached scheduler forks a checkpoint at every branch point and drops it
-// when its subtree of trials finishes; with enough trials the drop/fork
-// cycle must start recycling buffers instead of allocating.
+// The tree executor materializes a checkpoint copy at every written fork and
+// drops it when its subtree of trials finishes; with enough trials the
+// drop/copy cycle must start recycling buffers instead of allocating.
 TEST(StateBufferPool, CachedRunRecyclesCheckpointBuffers) {
   const Circuit c = decompose_to_cx_basis(make_qft(4));
   const CircuitContext ctx(c);
@@ -252,13 +252,12 @@ TEST(StateBufferPool, CachedRunRecyclesCheckpointBuffers) {
   auto trials = generate_trials(c, ctx.layering, noise, 400, rng);
   reorder_trials(trials);
 
-  Rng sample_rng(12);
-  SvBackend sv(ctx, sample_rng);
-  schedule_trials(ctx, trials, sv);
-
-  const StateBufferPool& pool = sv.buffer_pool();
-  EXPECT_GT(pool.reuse_count(), 0u);
-  EXPECT_GT(pool.reuse_count(), pool.alloc_count());
+  for (const std::size_t threads : {1u, 4u}) {
+    const TreeExecStats stats = run_recorded(ctx, trials, threads).stats;
+    EXPECT_GT(stats.cow_materializations, 0u) << threads << " threads";
+    EXPECT_GT(stats.pool_reuses, 0u) << threads << " threads";
+    EXPECT_GT(stats.pool_reuses, stats.pool_allocs) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "noise/noise_model.hpp"
+#include "recording_sink.hpp"
 #include "sched/backend.hpp"
 #include "sched/baseline.hpp"
 #include "sched/order.hpp"
@@ -99,17 +100,18 @@ TEST(CappedScheduler, BitwiseCorrectUnderTightBudget) {
   for (std::size_t cap : {2u, 3u, 0u}) {
     ScheduleOptions options;
     options.max_states = cap;
-    Rng sample_rng(1);
-    SvBackend backend(w.ctx, sample_rng, /*record_final_states=*/true);
-    schedule_trials(w.ctx, w.trials, backend, options);
-    const SvRunResult result = backend.take_result();
-    ASSERT_EQ(result.final_states.size(), w.trials.size());
-    for (std::size_t i = 0; i < w.trials.size(); ++i) {
-      EXPECT_TRUE(result.final_states[i].bitwise_equal(simulate_trial(w.ctx, w.trials[i])))
-          << "cap=" << cap << " trial=" << i;
-    }
-    if (cap != 0) {
-      EXPECT_LE(result.max_live_states, cap);
+    for (const std::size_t threads : {1u, 4u}) {
+      const RecordedRun result = run_recorded(w.ctx, w.trials, threads, options);
+      ASSERT_EQ(result.final_states.size(), w.trials.size());
+      for (std::size_t i = 0; i < w.trials.size(); ++i) {
+        EXPECT_TRUE(
+            result.final_states[i].bitwise_equal(simulate_trial(w.ctx, w.trials[i])))
+            << "cap=" << cap << " threads=" << threads << " trial=" << i;
+      }
+      if (cap != 0) {
+        EXPECT_LE(result.tree.peak_demand, cap);
+        EXPECT_LE(result.stats.max_live_states, cap);
+      }
     }
   }
 }

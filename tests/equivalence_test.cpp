@@ -3,14 +3,16 @@
 // simulation. These tests prove it on this implementation:
 //
 //  1. Bitwise: for every trial, the final statevector produced by the
-//     cached executor is bit-for-bit identical to simulating that trial
-//     from scratch (both paths apply the identical operator sequence in the
-//     identical order, so even floating-point rounding agrees).
+//     prefix-tree executor, at one and at four threads, is bit-for-bit
+//     identical to simulating that trial from scratch (both paths apply the
+//     identical operator sequence in the identical order, so even
+//     floating-point rounding agrees).
 //  2. Statistical: outcome histograms of baseline vs cached runs over the
 //     same trial set are close in total-variation distance.
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
 #include "bench_circuits/grover.hpp"
 #include "bench_circuits/qft.hpp"
@@ -18,7 +20,7 @@
 #include "common/rng.hpp"
 #include "noise/devices.hpp"
 #include "noise/noise_model.hpp"
-#include "sched/backend.hpp"
+#include "recording_sink.hpp"
 #include "sched/baseline.hpp"
 #include "sched/order.hpp"
 #include "sched/plan.hpp"
@@ -28,6 +30,29 @@
 
 namespace rqsim {
 namespace {
+
+// Every trial's tree-executed final state, at one and at four threads,
+// equals direct simulation bit for bit.
+void expect_tree_matches_direct(const CircuitContext& ctx, const std::vector<Trial>& trials) {
+  for (const std::size_t threads : {1u, 4u}) {
+    const RecordedRun cached = run_recorded(ctx, trials, threads);
+    ASSERT_EQ(cached.final_states.size(), trials.size());
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      EXPECT_TRUE(cached.final_states[i].bitwise_equal(simulate_trial(ctx, trials[i])))
+          << "trial " << i << " with " << trials[i].num_errors() << " errors at "
+          << threads << " threads";
+    }
+  }
+}
+
+// Histogram and op count of the prefix tree over reordered `trials`.
+std::pair<OutcomeHistogram, opcount_t> run_cached(const CircuitContext& ctx,
+                                                  const std::vector<Trial>& trials) {
+  const ExecTree tree = build_exec_tree(ctx, trials);
+  SampledTrialSink sink(ctx, trials, nullptr);
+  const TreeExecStats stats = execute_tree(ctx, tree, trials, TreeExecConfig{}, sink);
+  return {sink.take_histogram(), stats.ops};
+}
 
 struct EquivCase {
   const char* name;
@@ -49,18 +74,7 @@ TEST_P(BitwiseEquivalence, CachedFinalStatesMatchDirectSimulationExactly) {
   Rng rng(param.seed);
   auto trials = generate_trials(c, ctx.layering, noise, param.trials, rng);
   reorder_trials(trials);
-
-  Rng sample_rng(1);
-  SvBackend backend(ctx, sample_rng, /*record_final_states=*/true);
-  schedule_trials(ctx, trials, backend);
-  const SvRunResult cached = backend.take_result();
-  ASSERT_EQ(cached.final_states.size(), trials.size());
-
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    const StateVector direct = simulate_trial(ctx, trials[i]);
-    EXPECT_TRUE(cached.final_states[i].bitwise_equal(direct))
-        << "trial " << i << " with " << trials[i].num_errors() << " errors";
-  }
+  expect_tree_matches_direct(ctx, trials);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -79,14 +93,7 @@ TEST(BitwiseEquivalenceExtra, GroverCompiledOntoYorktown) {
   Rng rng(21);
   auto trials = generate_trials(compiled.circuit, ctx.layering, dev.noise, 300, rng);
   reorder_trials(trials);
-
-  Rng sample_rng(2);
-  SvBackend backend(ctx, sample_rng, /*record_final_states=*/true);
-  schedule_trials(ctx, trials, backend);
-  const SvRunResult cached = backend.take_result();
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    EXPECT_TRUE(cached.final_states[i].bitwise_equal(simulate_trial(ctx, trials[i])));
-  }
+  expect_tree_matches_direct(ctx, trials);
 }
 
 TEST(BitwiseEquivalenceExtra, QvCircuit) {
@@ -96,19 +103,13 @@ TEST(BitwiseEquivalenceExtra, QvCircuit) {
   Rng rng(22);
   auto trials = generate_trials(c, ctx.layering, noise, 200, rng);
   reorder_trials(trials);
-  Rng sample_rng(3);
-  SvBackend backend(ctx, sample_rng, /*record_final_states=*/true);
-  schedule_trials(ctx, trials, backend);
-  const SvRunResult cached = backend.take_result();
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    EXPECT_TRUE(cached.final_states[i].bitwise_equal(simulate_trial(ctx, trials[i])));
-  }
+  expect_tree_matches_direct(ctx, trials);
 }
 
 TEST(StatisticalEquivalence, HistogramsAgreeInDistribution) {
-  // Baseline and cached runs on the *same* trial set sample independently,
-  // so histograms differ, but the total-variation distance must be small
-  // for a large number of trials.
+  // Baseline and cached runs on the *same* trial set, given independent
+  // measurement seeds, so histograms differ, but the total-variation
+  // distance must be small for a large number of trials.
   const Circuit c = decompose_to_cx_basis(make_qft(3));
   const CircuitContext ctx(c);
   const NoiseModel noise = NoiseModel::uniform(3, 0.02, 0.08, 0.03);
@@ -116,17 +117,17 @@ TEST(StatisticalEquivalence, HistogramsAgreeInDistribution) {
   auto trials = generate_trials(c, ctx.layering, noise, 20000, rng);
 
   Rng base_rng(41);
-  const SvRunResult base = baseline_simulate(ctx, trials, base_rng);
+  assign_measurement_seeds(trials, base_rng);
+  const SvRunResult base = baseline_simulate(ctx, trials);
 
-  reorder_trials(trials);
   Rng cached_rng(43);
-  SvBackend backend(ctx, cached_rng);
-  schedule_trials(ctx, trials, backend);
-  const SvRunResult cached = backend.take_result();
+  assign_measurement_seeds(trials, cached_rng);
+  reorder_trials(trials);
+  const auto [cached_histogram, cached_ops] = run_cached(ctx, trials);
 
-  EXPECT_LT(total_variation_distance(base.histogram, cached.histogram), 0.03);
+  EXPECT_LT(total_variation_distance(base.histogram, cached_histogram), 0.03);
   // The cached run must do strictly less work here.
-  EXPECT_LT(cached.ops, base.ops);
+  EXPECT_LT(cached_ops, base.ops);
 }
 
 TEST(StatisticalEquivalence, MeasurementErrorFlipsPropagate) {
@@ -140,19 +141,16 @@ TEST(StatisticalEquivalence, MeasurementErrorFlipsPropagate) {
   const NoiseModel noise = NoiseModel::uniform(2, 0.0, 0.0, 1.0);
   Rng rng(51);
   auto trials = generate_trials(c, ctx.layering, noise, 50, rng);
+  assign_measurement_seeds(trials, rng);
 
-  Rng base_rng(52);
-  const SvRunResult base = baseline_simulate(ctx, trials, base_rng);
+  const SvRunResult base = baseline_simulate(ctx, trials);
   ASSERT_EQ(base.histogram.size(), 1u);
   EXPECT_EQ(base.histogram.begin()->first, 0b10u);
 
   reorder_trials(trials);
-  Rng cached_rng(53);
-  SvBackend backend(ctx, cached_rng);
-  schedule_trials(ctx, trials, backend);
-  const SvRunResult cached = backend.take_result();
-  ASSERT_EQ(cached.histogram.size(), 1u);
-  EXPECT_EQ(cached.histogram.begin()->first, 0b10u);
+  const OutcomeHistogram cached = run_cached(ctx, trials).first;
+  ASSERT_EQ(cached.size(), 1u);
+  EXPECT_EQ(cached.begin()->first, 0b10u);
 }
 
 TEST(StatisticalEquivalence, NoiselessRunIsDeterministic) {
@@ -166,15 +164,13 @@ TEST(StatisticalEquivalence, NoiselessRunIsDeterministic) {
   const NoiseModel noise = NoiseModel::uniform(3, 0.0, 0.0, 0.0);
   Rng rng(61);
   auto trials = generate_trials(c, ctx.layering, noise, 500, rng);
+  assign_measurement_seeds(trials, rng);
   reorder_trials(trials);
-  Rng cached_rng(62);
-  SvBackend backend(ctx, cached_rng);
-  schedule_trials(ctx, trials, backend);
-  const SvRunResult cached = backend.take_result();
-  EXPECT_EQ(cached.ops, ctx.total_gate_ops());
-  ASSERT_EQ(cached.histogram.size(), 1u);
-  EXPECT_EQ(cached.histogram.begin()->first, 0b101u);
-  EXPECT_EQ(cached.histogram.begin()->second, 500u);
+  const auto [histogram, ops] = run_cached(ctx, trials);
+  EXPECT_EQ(ops, ctx.total_gate_ops());
+  ASSERT_EQ(histogram.size(), 1u);
+  EXPECT_EQ(histogram.begin()->first, 0b101u);
+  EXPECT_EQ(histogram.begin()->second, 500u);
 }
 
 }  // namespace

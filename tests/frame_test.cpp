@@ -20,7 +20,7 @@
 #include "noise/noise_model.hpp"
 #include "obs/pauli_string.hpp"
 #include "sched/order.hpp"
-#include "sched/parallel.hpp"
+#include "sched/runner.hpp"
 #include "sched/tree.hpp"
 #include "sched/tree_exec.hpp"
 #include "transpile/decompose.hpp"
@@ -150,9 +150,9 @@ TEST(Frame, ConjugationTablesMatchNumericConjugation) {
 // ---------------------------------------------------------------------------
 // Bitwise identity of frame-collapsed runs.
 
-ParallelRunConfig frame_config(std::size_t trials, std::size_t threads,
-                               std::uint64_t seed = 5) {
-  ParallelRunConfig config;
+NoisyRunConfig frame_config(std::size_t trials, std::size_t threads,
+                            std::uint64_t seed = 5) {
+  NoisyRunConfig config;
   config.num_trials = trials;
   config.num_threads = threads;
   config.seed = seed;
@@ -163,28 +163,22 @@ ParallelRunConfig frame_config(std::size_t trials, std::size_t threads,
 TEST(Frame, BitwiseHistogramsOnTable1SuiteAcrossThreads) {
   // The headline guarantee of the collapse: for every Table I benchmark
   // and every thread count, frame-mode histograms are bitwise identical to
-  // the sequential run_noisy while matvec ops only ever shrink — strictly
-  // on the Clifford-dominated entries.
+  // the baseline loop's while matvec ops only ever shrink — strictly on the
+  // Clifford-dominated entries.
   const DeviceModel dev = yorktown_device();
   for (const BenchmarkEntry& entry : make_table1_suite(dev)) {
-    NoisyRunConfig serial_config;
-    serial_config.num_trials = 400;
-    serial_config.seed = 5;
-    const NoisyRunResult serial = run_noisy(entry.compiled, dev.noise, serial_config);
-    const NoisyRunResult tree =
-        run_noisy_parallel(entry.compiled, dev.noise,
-                           [&] {
-                             ParallelRunConfig c = frame_config(400, 2);
-                             c.frame_collapse = false;
-                             return c;
-                           }());
+    NoisyRunConfig baseline_config = frame_config(400, 1);
+    baseline_config.mode = ExecutionMode::kBaseline;
+    const NoisyRunResult baseline = run_noisy(entry.compiled, dev.noise, baseline_config);
+    NoisyRunConfig unframed_config = frame_config(400, 2);
+    unframed_config.frame_collapse = false;
+    const NoisyRunResult tree = run_noisy(entry.compiled, dev.noise, unframed_config);
     for (const std::size_t threads : {1u, 2u, 8u}) {
       const NoisyRunResult framed =
-          run_noisy_parallel(entry.compiled, dev.noise, frame_config(400, threads));
-      EXPECT_EQ(framed.histogram, serial.histogram)
+          run_noisy(entry.compiled, dev.noise, frame_config(400, threads));
+      EXPECT_EQ(framed.histogram, baseline.histogram)
           << entry.name << " @ " << threads << " threads";
       EXPECT_LE(framed.ops, tree.ops) << entry.name << " @ " << threads << " threads";
-      EXPECT_EQ(framed.redundant_prefix_ops, 0u) << entry.name;
       if (entry.name == "rb" || entry.name == "bv4" || entry.name == "bv5") {
         EXPECT_LT(framed.ops, tree.ops) << entry.name;
         EXPECT_GT(framed.telemetry.frame_collapsed_trials, 0u) << entry.name;
@@ -195,7 +189,7 @@ TEST(Frame, BitwiseHistogramsOnTable1SuiteAcrossThreads) {
 
 TEST(Frame, ObservableMeansBitwiseWithFrames) {
   // Z-only frames sign observable terms by exact ±1 multiplies, so the
-  // means stay bitwise equal to the sequential run — not merely close.
+  // means stay bitwise equal to the unframed run — not merely close.
   const Circuit circuit = decompose_to_cx_basis(make_ghz(4));
   const NoiseModel noise = NoiseModel::uniform(4, 0.03, 0.1, 0.02);
   NoisyRunConfig serial_config;
@@ -205,9 +199,9 @@ TEST(Frame, ObservableMeansBitwiseWithFrames) {
                                PauliString::from_label("ZIIZ")};
   const NoisyRunResult serial = run_noisy(circuit, noise, serial_config);
   for (const std::size_t threads : {1u, 4u}) {
-    ParallelRunConfig config = frame_config(600, threads, 9);
+    NoisyRunConfig config = frame_config(600, threads, 9);
     config.observables = serial_config.observables;
-    const NoisyRunResult framed = run_noisy_parallel(circuit, noise, config);
+    const NoisyRunResult framed = run_noisy(circuit, noise, config);
     ASSERT_EQ(framed.observable_means.size(), serial.observable_means.size());
     for (std::size_t k = 0; k < serial.observable_means.size(); ++k) {
       EXPECT_EQ(framed.observable_means[k], serial.observable_means[k])
@@ -263,20 +257,19 @@ TEST(Frame, UncomputeRoutesRefusedForksWithoutInlineFallback) {
   // equals the sequential schedule's (uncompute ops are billed separately).
   const Circuit circuit = decompose_to_cx_basis(make_ghz(6));
   const NoiseModel noise = NoiseModel::uniform(6, 0.02, 0.08, 0.02);
-  NoisyRunConfig serial_config;
-  serial_config.num_trials = 600;
-  serial_config.seed = 13;
-  serial_config.max_states = 2;
-  const NoisyRunResult serial = run_noisy(circuit, noise, serial_config);
+  NoisyRunConfig config;
+  config.num_trials = 600;
+  config.seed = 13;
+  config.max_states = 2;
+  const NoisyRunResult counted = analyze_noisy(circuit, noise, config);
+  NoisyRunConfig baseline_config = config;
+  baseline_config.mode = ExecutionMode::kBaseline;
+  const NoisyRunResult baseline = run_noisy(circuit, noise, baseline_config);
   for (const std::size_t threads : {4u, 8u}) {
-    ParallelRunConfig config;
-    config.num_trials = 600;
-    config.seed = 13;
-    config.max_states = 2;
     config.num_threads = threads;
-    const NoisyRunResult result = run_noisy_parallel(circuit, noise, config);
-    EXPECT_EQ(result.histogram, serial.histogram) << threads << " threads";
-    EXPECT_EQ(result.ops, serial.ops) << threads << " threads";
+    const NoisyRunResult result = run_noisy(circuit, noise, config);
+    EXPECT_EQ(result.histogram, baseline.histogram) << threads << " threads";
+    EXPECT_EQ(result.ops, counted.ops) << threads << " threads";
     EXPECT_GT(result.telemetry.uncomputations, 0u) << threads << " threads";
     EXPECT_EQ(result.telemetry.inline_fallbacks, 0u) << threads << " threads";
   }
@@ -287,16 +280,16 @@ TEST(Frame, FramesComposeWithBudgetAndUncompute) {
   // refuses some of the remaining forks, and the result is still bitwise.
   const Circuit circuit = decompose_to_cx_basis(make_ghz(6));
   const NoiseModel noise = NoiseModel::uniform(6, 0.02, 0.08, 0.02);
-  NoisyRunConfig serial_config;
-  serial_config.num_trials = 600;
-  serial_config.seed = 13;
-  serial_config.max_states = 2;
-  const NoisyRunResult serial = run_noisy(circuit, noise, serial_config);
-  ParallelRunConfig config = frame_config(600, 8, 13);
+  NoisyRunConfig config = frame_config(600, 8, 13);
   config.max_states = 2;
-  const NoisyRunResult framed = run_noisy_parallel(circuit, noise, config);
-  EXPECT_EQ(framed.histogram, serial.histogram);
-  EXPECT_LT(framed.ops, serial.ops);
+  NoisyRunConfig baseline_config = config;
+  baseline_config.mode = ExecutionMode::kBaseline;
+  baseline_config.num_threads = 1;
+  const NoisyRunResult baseline = run_noisy(circuit, noise, baseline_config);
+  const NoisyRunResult counted = analyze_noisy(circuit, noise, config);
+  const NoisyRunResult framed = run_noisy(circuit, noise, config);
+  EXPECT_EQ(framed.histogram, baseline.histogram);
+  EXPECT_LT(framed.ops, counted.ops);
   EXPECT_GT(framed.telemetry.frame_collapsed_trials, 0u);
   EXPECT_EQ(framed.telemetry.inline_fallbacks, 0u);
 }

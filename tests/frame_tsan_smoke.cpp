@@ -20,7 +20,7 @@
 #include "bench_circuits/bv.hpp"
 #include "bench_circuits/ghz.hpp"
 #include "noise/noise_model.hpp"
-#include "sched/parallel.hpp"
+#include "sched/runner.hpp"
 #include "transpile/decompose.hpp"
 
 namespace {
@@ -37,23 +37,21 @@ int failures = 0;
 
 void stress_one(const rqsim::Circuit& circuit, const rqsim::NoiseModel& noise,
                 bool expect_uncompute_at_budget) {
-  rqsim::ParallelRunConfig config;
+  rqsim::NoisyRunConfig config;
   config.num_trials = 2000;
   config.num_threads = 1;
   config.seed = 7;
   config.frame_collapse = true;
-  const rqsim::NoisyRunResult reference =
-      rqsim::run_noisy_parallel(circuit, noise, config);
+  const rqsim::NoisyRunResult reference = rqsim::run_noisy(circuit, noise, config);
   SMOKE_CHECK(reference.telemetry.frame_collapsed_trials > 0);
 
   for (const std::size_t threads : {2u, 4u, 8u}) {
     for (const std::size_t budget : {std::size_t{0}, std::size_t{2}}) {
       for (int rep = 0; rep < 3; ++rep) {
-        rqsim::ParallelRunConfig run = config;
+        rqsim::NoisyRunConfig run = config;
         run.num_threads = threads;
         run.max_states = budget;
-        const rqsim::NoisyRunResult result =
-            rqsim::run_noisy_parallel(circuit, noise, run);
+        const rqsim::NoisyRunResult result = rqsim::run_noisy(circuit, noise, run);
         SMOKE_CHECK(result.histogram == reference.histogram);
         // A budget shatters over-budget groups into replay leaves before
         // their deeper subgroups get a collapse chance, so the collapsed

@@ -7,6 +7,7 @@
 #include "circuit/qasm.hpp"
 #include "common/rng.hpp"
 #include "noise/noise_model.hpp"
+#include "recording_sink.hpp"
 #include "sched/backend.hpp"
 #include "sched/baseline.hpp"
 #include "sched/cached.hpp"
@@ -111,37 +112,35 @@ TEST_P(PipelineFuzz, AllExecutionPathsAgree) {
     }
   }
 
-  // 2. Count and statevector backends agree; ops bounded by alternatives.
+  // 2. The count backend and the tree executor agree; ops bounded by
+  // alternatives.
   CountBackend counter(ctx);
   schedule_trials(ctx, trials, counter);
   EXPECT_LE(counter.ops(), unordered.ops);
   EXPECT_LE(unordered.ops, baseline);
   EXPECT_EQ(counter.finished_trials(), trials.size());
 
-  Rng sample_rng(1);
-  SvBackend sv(ctx, sample_rng, /*record_final_states=*/true);
-  schedule_trials(ctx, trials, sv);
-  const SvRunResult run = sv.take_result();
-  EXPECT_EQ(run.ops, counter.ops());
-  EXPECT_EQ(run.max_live_states, counter.max_live_states());
-
-  // 3. Bitwise equivalence against direct per-trial simulation.
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    ASSERT_TRUE(run.final_states[i].bitwise_equal(simulate_trial(ctx, trials[i])))
-        << "trial " << i;
-  }
-
-  // 4. Capped scheduling stays within budget and is bitwise correct too.
   ScheduleOptions tight;
   tight.max_states = 2;
-  Rng capped_rng(2);
-  SvBackend capped(ctx, capped_rng, /*record_final_states=*/true);
-  schedule_trials(ctx, trials, capped, tight);
-  const SvRunResult capped_run = capped.take_result();
-  EXPECT_LE(capped_run.max_live_states, 2u);
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    ASSERT_TRUE(capped_run.final_states[i].bitwise_equal(run.final_states[i]))
-        << "trial " << i;
+  for (const std::size_t threads : {1u, 4u}) {
+    const RecordedRun run = run_recorded(ctx, trials, threads);
+    EXPECT_EQ(run.stats.ops, counter.ops());
+    EXPECT_EQ(run.tree.peak_demand, counter.max_live_states());
+
+    // 3. Bitwise equivalence against direct per-trial simulation.
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      ASSERT_TRUE(run.final_states[i].bitwise_equal(simulate_trial(ctx, trials[i])))
+          << "trial " << i << " at " << threads << " threads";
+    }
+
+    // 4. Capped scheduling stays within budget and is bitwise correct too.
+    const RecordedRun capped = run_recorded(ctx, trials, threads, tight);
+    EXPECT_LE(capped.tree.peak_demand, 2u);
+    EXPECT_LE(capped.stats.max_live_states, 2u);
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      ASSERT_TRUE(capped.final_states[i].bitwise_equal(run.final_states[i]))
+          << "trial " << i << " at " << threads << " threads";
+    }
   }
 }
 

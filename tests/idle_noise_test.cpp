@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "dm/density_matrix.hpp"
 #include "noise/noise_model.hpp"
+#include "recording_sink.hpp"
 #include "sched/backend.hpp"
 #include "sched/baseline.hpp"
 #include "sched/order.hpp"
@@ -107,13 +108,12 @@ TEST(IdleNoise, BitwiseEquivalenceWithIdleEvents) {
   auto trials = generate_trials(c, ctx.layering, noise, 300, rng);
   reorder_trials(trials);
 
-  Rng sample_rng(1);
-  SvBackend backend(ctx, sample_rng, /*record_final_states=*/true);
-  schedule_trials(ctx, trials, backend);
-  const SvRunResult cached = backend.take_result();
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    EXPECT_TRUE(cached.final_states[i].bitwise_equal(simulate_trial(ctx, trials[i])))
-        << "trial " << i;
+  for (const std::size_t threads : {1u, 4u}) {
+    const RecordedRun cached = run_recorded(ctx, trials, threads);
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      EXPECT_TRUE(cached.final_states[i].bitwise_equal(simulate_trial(ctx, trials[i])))
+          << "trial " << i << " at " << threads << " threads";
+    }
   }
 }
 

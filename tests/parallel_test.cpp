@@ -1,19 +1,21 @@
+// run_noisy's thread count: the prefix tree runs on num_threads workers and
+// every result is independent of it.
 #include <gtest/gtest.h>
 
 #include "bench_circuits/qft.hpp"
 #include "common/error.hpp"
 #include "noise/noise_model.hpp"
 #include "obs/pauli_string.hpp"
-#include "sched/parallel.hpp"
+#include "sched/runner.hpp"
 #include "sim/measure.hpp"
 #include "transpile/decompose.hpp"
 
 namespace rqsim {
 namespace {
 
-ParallelRunConfig make_config(std::size_t trials, std::size_t threads,
-                              std::uint64_t seed = 11) {
-  ParallelRunConfig config;
+NoisyRunConfig make_config(std::size_t trials, std::size_t threads,
+                           std::uint64_t seed = 11) {
+  NoisyRunConfig config;
   config.num_trials = trials;
   config.num_threads = threads;
   config.seed = seed;
@@ -23,7 +25,7 @@ ParallelRunConfig make_config(std::size_t trials, std::size_t threads,
 TEST(Parallel, AllTrialsAccountedFor) {
   const Circuit c = decompose_to_cx_basis(make_qft(4));
   const NoiseModel noise = NoiseModel::uniform(4, 0.01, 0.05, 0.02);
-  const NoisyRunResult result = run_noisy_parallel(c, noise, make_config(4000, 4));
+  const NoisyRunResult result = run_noisy(c, noise, make_config(4000, 4));
   std::uint64_t total = 0;
   for (const auto& [outcome, count] : result.histogram) {
     (void)outcome;
@@ -37,63 +39,25 @@ TEST(Parallel, AllTrialsAccountedFor) {
 TEST(Parallel, DeterministicForFixedSeedAndThreads) {
   const Circuit c = decompose_to_cx_basis(make_qft(3));
   const NoiseModel noise = NoiseModel::uniform(3, 0.02, 0.08, 0.01);
-  const NoisyRunResult a = run_noisy_parallel(c, noise, make_config(3000, 3));
-  const NoisyRunResult b = run_noisy_parallel(c, noise, make_config(3000, 3));
+  const NoisyRunResult a = run_noisy(c, noise, make_config(3000, 3));
+  const NoisyRunResult b = run_noisy(c, noise, make_config(3000, 3));
   EXPECT_EQ(a.ops, b.ops);
   EXPECT_EQ(a.histogram, b.histogram);
   EXPECT_EQ(a.max_live_states, b.max_live_states);
 }
 
-TEST(Parallel, ChunkingCostsBoundedExtra) {
-  // Chunked mode loses only cross-boundary sharing: ops_parallel is at
-  // least ops_serial and at most ops_serial + (threads-1) full circuits;
-  // the excess is reported exactly as redundant_prefix_ops.
-  const Circuit c = decompose_to_cx_basis(make_qft(4));
-  const NoiseModel noise = NoiseModel::uniform(4, 0.01, 0.04, 0.0);
-  const std::size_t threads = 5;
-  ParallelRunConfig serial_config = make_config(5000, 1);
-  serial_config.parallel_mode = ParallelMode::kChunked;
-  ParallelRunConfig parallel_config = make_config(5000, threads);
-  parallel_config.parallel_mode = ParallelMode::kChunked;
-  const NoisyRunResult serial = run_noisy_parallel(c, noise, serial_config);
-  const NoisyRunResult parallel = run_noisy_parallel(c, noise, parallel_config);
-  EXPECT_GE(parallel.ops, serial.ops);
-  const CircuitContext ctx(c);
-  // A chunk boundary can at worst force a re-execution of everything one
-  // trial shares: bounded by the full trial cost times the extra chunks.
-  EXPECT_LE(parallel.ops,
-            serial.ops + (threads - 1) * 2 * ctx.total_gate_ops() + 64);
-  EXPECT_EQ(parallel.baseline_ops, serial.baseline_ops);
-  // One sequential scheduler over the same list performs serial.ops, so the
-  // chunked excess is exactly the recomputed prefix work.
-  EXPECT_EQ(serial.redundant_prefix_ops, 0u);
-  EXPECT_EQ(parallel.redundant_prefix_ops, parallel.ops - serial.ops);
-}
-
-TEST(Parallel, ChunkedHistogramMatchesSerialBitwise) {
-  // Per-trial measurement seeds make the histogram independent of which
-  // worker finishes a trial: chunked mode reproduces run_noisy exactly.
-  const Circuit c = decompose_to_cx_basis(make_qft(4));
-  const NoiseModel noise = NoiseModel::uniform(4, 0.02, 0.07, 0.02);
-  ParallelRunConfig config = make_config(4000, 4, 7);
-  config.parallel_mode = ParallelMode::kChunked;
-  const NoisyRunResult chunked = run_noisy_parallel(c, noise, config);
-  const NoisyRunResult serial = run_noisy(c, noise, config);
-  EXPECT_EQ(chunked.histogram, serial.histogram);
-}
-
 TEST(Parallel, DistributionMatchesSerial) {
   const Circuit c = decompose_to_cx_basis(make_qft(3));
   const NoiseModel noise = NoiseModel::uniform(3, 0.02, 0.08, 0.03);
-  const NoisyRunResult serial = run_noisy_parallel(c, noise, make_config(30000, 1, 1));
-  const NoisyRunResult parallel = run_noisy_parallel(c, noise, make_config(30000, 6, 2));
+  const NoisyRunResult serial = run_noisy(c, noise, make_config(30000, 1, 1));
+  const NoisyRunResult parallel = run_noisy(c, noise, make_config(30000, 6, 2));
   EXPECT_LT(total_variation_distance(serial.histogram, parallel.histogram), 0.03);
 }
 
 TEST(Parallel, MoreThreadsThanTrials) {
   const Circuit c = decompose_to_cx_basis(make_qft(3));
   const NoiseModel noise = NoiseModel::uniform(3, 0.02, 0.08, 0.0);
-  const NoisyRunResult result = run_noisy_parallel(c, noise, make_config(3, 16));
+  const NoisyRunResult result = run_noisy(c, noise, make_config(3, 16));
   std::uint64_t total = 0;
   for (const auto& [outcome, count] : result.histogram) {
     (void)outcome;
@@ -105,25 +69,26 @@ TEST(Parallel, MoreThreadsThanTrials) {
 TEST(Parallel, RespectsMsvBudget) {
   const Circuit c = decompose_to_cx_basis(make_qft(4));
   const NoiseModel noise = NoiseModel::uniform(4, 0.05, 0.2, 0.0);
-  ParallelRunConfig config = make_config(4000, 4);
+  NoisyRunConfig config = make_config(4000, 4);
   config.max_states = 3;
-  const NoisyRunResult result = run_noisy_parallel(c, noise, config);
+  const NoisyRunResult result = run_noisy(c, noise, config);
   EXPECT_LE(result.max_live_states, 3u);
 }
 
 TEST(Parallel, ObservablesSupported) {
   const Circuit c = decompose_to_cx_basis(make_qft(3));
   const NoiseModel noise = NoiseModel::uniform(3, 0.01, 0.04, 0.0);
-  ParallelRunConfig config = make_config(5000, 4, 21);
+  NoisyRunConfig config = make_config(5000, 4, 21);
   config.observables = {PauliString::from_label("ZZI"),
                         PauliString::from_label("IXX")};
-  const NoisyRunResult parallel = run_noisy_parallel(c, noise, config);
+  const NoisyRunResult parallel = run_noisy(c, noise, config);
   ASSERT_EQ(parallel.observable_means.size(), 2u);
-  // Observable means are sampling-free, so serial (thread=1) agrees exactly.
+  // Per-trial values are reduced in trial-index order, so one thread
+  // agrees bitwise.
   config.num_threads = 1;
-  const NoisyRunResult serial = run_noisy_parallel(c, noise, config);
+  const NoisyRunResult serial = run_noisy(c, noise, config);
   for (std::size_t k = 0; k < 2; ++k) {
-    EXPECT_NEAR(parallel.observable_means[k], serial.observable_means[k], 1e-9);
+    EXPECT_EQ(parallel.observable_means[k], serial.observable_means[k]);
   }
 }
 
@@ -134,57 +99,65 @@ TEST(Parallel, RepeatedRunsAreBitwiseIdentical) {
   // scheduling cannot leak into the results.
   const Circuit c = decompose_to_cx_basis(make_qft(4));
   const NoiseModel noise = NoiseModel::uniform(4, 0.015, 0.06, 0.02);
-  ParallelRunConfig config = make_config(6000, 4, 1234);
+  NoisyRunConfig config = make_config(6000, 4, 1234);
   config.observables = {PauliString::from_label("ZZZZ"),
                         PauliString::from_label("XIIX")};
-  const NoisyRunResult first = run_noisy_parallel(c, noise, config);
+  const NoisyRunResult first = run_noisy(c, noise, config);
   for (int rep = 0; rep < 3; ++rep) {
-    const NoisyRunResult again = run_noisy_parallel(c, noise, config);
+    const NoisyRunResult again = run_noisy(c, noise, config);
     EXPECT_EQ(again.histogram, first.histogram);
     EXPECT_EQ(again.ops, first.ops);
     EXPECT_EQ(again.max_live_states, first.max_live_states);
     ASSERT_EQ(again.observable_means.size(), first.observable_means.size());
     for (std::size_t k = 0; k < first.observable_means.size(); ++k) {
-      // Bitwise: partial sums are reduced in a fixed worker order.
+      // Bitwise: per-trial values are reduced in trial-index order.
       EXPECT_EQ(again.observable_means[k], first.observable_means[k]);
     }
   }
 }
 
 TEST(Parallel, OneThreadMatchesSerialSchedulerBitwise) {
-  // A single worker continues on the generation Rng exactly like run_noisy,
-  // so the two entry points are interchangeable at num_threads == 1.
+  // One worker executes exactly the sequential schedule: the op count and
+  // MSV of the count-only walker (analyze_noisy), and the histogram of the
+  // per-trial baseline loop, bit for bit.
   const Circuit c = decompose_to_cx_basis(make_qft(4));
   const NoiseModel noise = NoiseModel::uniform(4, 0.02, 0.07, 0.03);
-  ParallelRunConfig parallel_config = make_config(4000, 1, 99);
-  parallel_config.observables = {PauliString::from_label("ZIZI")};
+  NoisyRunConfig config = make_config(4000, 1, 99);
+  config.observables = {PauliString::from_label("ZIZI")};
 
-  NoisyRunConfig serial_config = parallel_config;  // slices the base fields
-  const NoisyRunResult serial = run_noisy(c, noise, serial_config);
-  const NoisyRunResult parallel = run_noisy_parallel(c, noise, parallel_config);
+  const NoisyRunResult tree = run_noisy(c, noise, config);
+  const NoisyRunResult counted = analyze_noisy(c, noise, config);
+  NoisyRunConfig baseline_config = config;
+  baseline_config.mode = ExecutionMode::kBaseline;
+  const NoisyRunResult baseline = run_noisy(c, noise, baseline_config);
 
-  EXPECT_EQ(parallel.histogram, serial.histogram);
-  EXPECT_EQ(parallel.ops, serial.ops);
-  EXPECT_EQ(parallel.baseline_ops, serial.baseline_ops);
-  EXPECT_EQ(parallel.max_live_states, serial.max_live_states);
-  ASSERT_EQ(parallel.observable_means.size(), 1u);
-  EXPECT_EQ(parallel.observable_means[0], serial.observable_means[0]);
+  EXPECT_EQ(tree.histogram, baseline.histogram);
+  EXPECT_EQ(tree.ops, counted.ops);
+  EXPECT_EQ(tree.baseline_ops, baseline.ops);
+  EXPECT_EQ(tree.max_live_states, counted.max_live_states);
+  ASSERT_EQ(tree.observable_means.size(), 1u);
+  // The baseline sums in generation order, the tree in reorder order.
+  EXPECT_NEAR(tree.observable_means[0], baseline.observable_means[0], 1e-12);
 }
 
 TEST(Parallel, RejectsSingleStateBudget) {
   const Circuit c = decompose_to_cx_basis(make_qft(3));
   const NoiseModel noise = NoiseModel::uniform(3, 0.01, 0.05, 0.0);
-  ParallelRunConfig config = make_config(100, 2);
+  NoisyRunConfig config = make_config(100, 2);
   config.max_states = 1;
-  EXPECT_THROW(run_noisy_parallel(c, noise, config), Error);
+  EXPECT_THROW(run_noisy(c, noise, config), Error);
 }
 
 TEST(Parallel, RejectsNonCachedModes) {
+  // The baseline loop is single-threaded; the unordered ablation is
+  // accounting-only at any thread count.
   const Circuit c = decompose_to_cx_basis(make_qft(3));
   const NoiseModel noise = NoiseModel::uniform(3, 0.01, 0.05, 0.0);
-  ParallelRunConfig config = make_config(100, 2);
+  NoisyRunConfig config = make_config(100, 2);
   config.mode = ExecutionMode::kBaseline;
-  EXPECT_THROW(run_noisy_parallel(c, noise, config), Error);
+  EXPECT_THROW(run_noisy(c, noise, config), Error);
+  config.mode = ExecutionMode::kCachedUnordered;
+  EXPECT_THROW(run_noisy(c, noise, config), Error);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "noise/noise_model.hpp"
 #include "sched/backend.hpp"
 #include "sched/order.hpp"
-#include "sched/parallel.hpp"
 #include "sched/runner.hpp"
 #include "service/service.hpp"
 #include "transpile/decompose.hpp"
@@ -342,11 +341,9 @@ TEST(RunLimits, MaxStatesZeroIsUnlimitedAtEveryEntryPoint) {
   config.max_states = 0;
   EXPECT_GT(run_noisy(guard_circuit(), guard_noise(), config).ops, 0u);
   EXPECT_GT(analyze_noisy(guard_circuit(), guard_noise(), config).ops, 0u);
-  ParallelRunConfig parallel;
-  parallel.num_trials = 200;
-  parallel.max_states = 0;
+  NoisyRunConfig parallel = config;
   parallel.num_threads = 2;
-  EXPECT_GT(run_noisy_parallel(guard_circuit(), guard_noise(), parallel).ops, 0u);
+  EXPECT_GT(run_noisy(guard_circuit(), guard_noise(), parallel).ops, 0u);
 
   SimService service({.num_workers = 0});
   JobSpec spec;
@@ -364,9 +361,10 @@ TEST(RunLimits, RejectsOverflowedTrialCounts) {
   config.num_trials = static_cast<std::size_t>(-5);  // negative input, wrapped
   EXPECT_THROW(run_noisy(guard_circuit(), guard_noise(), config), Error);
   EXPECT_THROW(analyze_noisy(guard_circuit(), guard_noise(), config), Error);
-  ParallelRunConfig parallel;
+  NoisyRunConfig parallel;
   parallel.num_trials = kMaxTrialCount + 1;
-  EXPECT_THROW(run_noisy_parallel(guard_circuit(), guard_noise(), parallel), Error);
+  parallel.num_threads = 2;
+  EXPECT_THROW(run_noisy(guard_circuit(), guard_noise(), parallel), Error);
 }
 
 TEST(RunLimits, RejectsOverflowedOrSingletonBudgets) {
@@ -391,7 +389,7 @@ TEST(RunLimits, ServiceRejectsOverflowedSpecsAsInvalid) {
   EXPECT_EQ(service.try_submit(spec).status, SubmitStatus::kInvalid);
 
   spec.config.max_states = 0;
-  spec.num_threads = static_cast<std::size_t>(-2);
+  spec.config.num_threads = static_cast<std::size_t>(-2);
   EXPECT_EQ(service.try_submit(spec).status, SubmitStatus::kInvalid);
 }
 

@@ -12,6 +12,8 @@
 #include "sched/order.hpp"
 #include "sched/plan.hpp"
 #include "sched/runner.hpp"
+#include "sched/tree.hpp"
+#include "sched/tree_exec.hpp"
 #include "transpile/decompose.hpp"
 #include "trial/generator.hpp"
 
@@ -215,7 +217,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 class BackendAgreement : public ::testing::TestWithParam<std::tuple<unsigned, double>> {};
 
-TEST_P(BackendAgreement, CountAndSvBackendsAgreeOnCosts) {
+TEST_P(BackendAgreement, CountBackendAndTreeAgreeOnCosts) {
   const auto [qubits, rate] = GetParam();
   const Circuit c = decompose_to_cx_basis(make_qv(qubits, 3, /*seed=*/17));
   const CircuitContext ctx(c);
@@ -227,13 +229,13 @@ TEST_P(BackendAgreement, CountAndSvBackendsAgreeOnCosts) {
   CountBackend counter(ctx);
   schedule_trials(ctx, trials, counter);
 
-  Rng sample_rng(5);
-  SvBackend sv(ctx, sample_rng);
-  schedule_trials(ctx, trials, sv);
-  const SvRunResult result = sv.take_result();
+  const ExecTree tree = build_exec_tree(ctx, trials);
+  SampledTrialSink sink(ctx, trials, nullptr);
+  const TreeExecStats stats = execute_tree(ctx, tree, trials, TreeExecConfig{}, sink);
 
-  EXPECT_EQ(counter.ops(), result.ops);
-  EXPECT_EQ(counter.max_live_states(), result.max_live_states);
+  EXPECT_EQ(counter.ops(), stats.ops);
+  EXPECT_EQ(counter.copies(), stats.fork_copies);
+  EXPECT_EQ(counter.max_live_states(), tree.peak_demand);
   EXPECT_EQ(counter.finished_trials(), trials.size());
   EXPECT_LE(counter.ops(), baseline_op_count(ctx, trials));
   EXPECT_GE(counter.max_live_states(), 1u);

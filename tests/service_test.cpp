@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_circuits/ghz.hpp"
 #include "bench_circuits/qft.hpp"
 #include "common/error.hpp"
 #include "noise/noise_model.hpp"
@@ -169,6 +170,34 @@ TEST(ServiceBatch, MaxBatchJobsCapsTheMerge) {
   EXPECT_EQ(service.result(ids[2])->batch_size, 1u);
 }
 
+TEST(ServiceBatch, FrameJobsRunUnmergedAndCollapse) {
+  // The merged schedule is never frame-collapsed, so framed jobs must not
+  // merge: two otherwise compatible `frames` jobs waiting in the queue (as
+  // behind a busy worker) each run alone, collapse, and reproduce run_noisy.
+  JobSpec first;
+  first.circuit = decompose_to_cx_basis(make_ghz(4));
+  first.noise = NoiseModel::uniform(4, 0.03, 0.1, 0.02);
+  first.config.num_trials = 1500;
+  first.config.seed = 21;
+  first.config.frame_collapse = true;
+  JobSpec second = first;
+  second.config.seed = 22;
+
+  SimService service(manual_config());
+  const std::uint64_t ids[] = {service.submit(first), service.submit(second)};
+  EXPECT_EQ(service.run_pending(), 2u);
+  EXPECT_EQ(service.stats().merged_batches, 0u);
+  for (const JobSpec* spec : {&first, &second}) {
+    const JobResult result = *service.result(ids[spec == &first ? 0 : 1]);
+    ASSERT_EQ(result.state, JobState::kDone);
+    EXPECT_EQ(result.batch_size, 1u);
+    EXPECT_GT(result.run.telemetry.frame_collapsed_trials, 0u);
+    const NoisyRunResult solo = run_noisy(spec->circuit, spec->noise, spec->config);
+    EXPECT_EQ(result.run.histogram, solo.histogram);
+    EXPECT_EQ(result.run.ops, solo.ops);
+  }
+}
+
 TEST(ServiceBatch, ExecuteBatchAttributionSumsExactly) {
   const JobSpec a = make_spec(900, 5);
   const JobSpec b = make_spec(700, 6);
@@ -306,7 +335,7 @@ TEST(ServiceValidation, RejectsBadSpecsWithoutEnqueueing) {
   EXPECT_EQ(service.try_submit(small_noise).status, SubmitStatus::kInvalid);
 
   JobSpec parallel_analyze = make_spec(100);
-  parallel_analyze.num_threads = 2;
+  parallel_analyze.config.num_threads = 2;
   parallel_analyze.analyze_only = true;
   EXPECT_EQ(service.try_submit(parallel_analyze).status, SubmitStatus::kInvalid);
 

@@ -10,8 +10,8 @@
 //      several client threads against a live worker pool, plus a shutdown
 //      that races both the destructor and in-flight submissions (the
 //      historical double-join deadlock path).
-//   2. Concurrent parallel runs — two run_noisy_parallel calls, each with
-//      its own tree-executor workers applying gates at the same time.
+//   2. Concurrent parallel runs — two run_noisy calls, each with its own
+//      tree-executor workers applying gates at the same time.
 //
 // Under the `tsan` preset the whole tree is instrumented; in the tier-1
 // flow the threaded sources are recompiled into this target with
@@ -23,7 +23,7 @@
 
 #include "bench_circuits/qft.hpp"
 #include "noise/noise_model.hpp"
-#include "sched/parallel.hpp"
+#include "sched/runner.hpp"
 #include "service/service.hpp"
 #include "transpile/decompose.hpp"
 
@@ -118,18 +118,17 @@ void stress_parallel_runs() {
   const rqsim::Circuit circuit = rqsim::decompose_to_cx_basis(rqsim::make_qft(6));
   const rqsim::NoiseModel noise = rqsim::NoiseModel::uniform(6, 0.01, 0.04, 0.02);
 
-  rqsim::ParallelRunConfig config;
+  rqsim::NoisyRunConfig config;
   config.num_trials = 150;
   config.num_threads = 2;
   config.verify_plans = true;
   std::thread racer([&] {
-    rqsim::ParallelRunConfig other = config;
+    rqsim::NoisyRunConfig other = config;
     other.seed = 11;
-    const rqsim::NoisyRunResult result =
-        rqsim::run_noisy_parallel(circuit, noise, other);
+    const rqsim::NoisyRunResult result = rqsim::run_noisy(circuit, noise, other);
     SMOKE_CHECK(result.ops > 0);
   });
-  const rqsim::NoisyRunResult result = rqsim::run_noisy_parallel(circuit, noise, config);
+  const rqsim::NoisyRunResult result = rqsim::run_noisy(circuit, noise, config);
   SMOKE_CHECK(result.ops > 0);
   racer.join();
 }

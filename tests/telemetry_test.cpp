@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "noise/devices.hpp"
 #include "sched/order.hpp"
-#include "sched/parallel.hpp"
 #include "sched/runner.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
@@ -204,8 +203,8 @@ TEST(TelemetryTrace, UntracedWorkerThreadsDoNotGrowRegistry) {
   if (!telem::compiled()) {
     GTEST_SKIP() << "telemetry compiled out";
   }
-  // Regression: the tree/chunked executors spawn fresh worker threads per
-  // run and name their lanes unconditionally; with tracing inactive that
+  // Regression: the tree executor spawns fresh worker threads per run and
+  // names their lanes unconditionally; with tracing inactive that
   // must not allocate (and strand) a per-thread event buffer per run, or a
   // long-running service leaks ~2 MB x threads per job.
   ASSERT_FALSE(telem::tracing_active());
@@ -213,12 +212,11 @@ TEST(TelemetryTrace, UntracedWorkerThreadsDoNotGrowRegistry) {
   const BenchmarkEntry entry = make_table1_suite(dev).front();
   const std::size_t buffers_before = telem::trace_thread_buffers();
   for (int rep = 0; rep < 3; ++rep) {
-    ParallelRunConfig config;
+    NoisyRunConfig config;
     config.num_trials = 64;
     config.seed = 3;
     config.num_threads = 8;
-    const NoisyRunResult result =
-        run_noisy_parallel(entry.compiled, dev.noise, config);
+    const NoisyRunResult result = run_noisy(entry.compiled, dev.noise, config);
     EXPECT_GT(result.ops, 0u);
   }
   EXPECT_EQ(telem::trace_thread_buffers(), buffers_before);
@@ -348,13 +346,11 @@ TEST(TelemetryReconciliation, ParallelTreeCounterMatchesAtOneTwoEightThreads) {
     ASSERT_TRUE(proof.ok) << entry.name << ": " << proof.diagnostic;
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      ParallelRunConfig config;
+      NoisyRunConfig config;
       config.num_trials = kTrials;
       config.seed = kSeed;
       config.num_threads = threads;
-      config.parallel_mode = ParallelMode::kTree;
-      const NoisyRunResult result =
-          run_noisy_parallel(entry.compiled, dev.noise, config);
+      const NoisyRunResult result = run_noisy(entry.compiled, dev.noise, config);
       EXPECT_TRUE(result.telemetry.measured) << entry.name;
       // The tree executes the sequential cached schedule's op count exactly
       // (zero redundant prefix work), the runtime counter measures the same

@@ -1,6 +1,7 @@
-// Work-stealing prefix-tree executor: bitwise equivalence with the
-// sequential scheduler, zero-redundancy op accounting, MSV budget
-// enforcement, and the tree-plan proof.
+// Work-stealing prefix-tree executor: bitwise equivalence with the baseline
+// loop and direct per-trial simulation, zero-redundancy op accounting
+// against the sequential schedule, MSV budget enforcement, and the
+// tree-plan proof.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,8 +13,10 @@
 #include "noise/devices.hpp"
 #include "noise/noise_model.hpp"
 #include "obs/pauli_string.hpp"
+#include "sched/backend.hpp"
+#include "sched/baseline.hpp"
 #include "sched/order.hpp"
-#include "sched/parallel.hpp"
+#include "sched/runner.hpp"
 #include "sched/tree.hpp"
 #include "sched/tree_exec.hpp"
 #include "transpile/decompose.hpp"
@@ -23,65 +26,90 @@
 namespace rqsim {
 namespace {
 
-ParallelRunConfig make_config(std::size_t trials, std::size_t threads,
-                              std::uint64_t seed = 11) {
-  ParallelRunConfig config;
+NoisyRunConfig make_config(std::size_t trials, std::size_t threads,
+                           std::uint64_t seed = 11) {
+  NoisyRunConfig config;
   config.num_trials = trials;
   config.num_threads = threads;
   config.seed = seed;
   return config;
 }
 
+// The trial list run_noisy executes for `config`: generated, given
+// measurement seeds, reordered.
+std::vector<Trial> run_trials(const Circuit& c, const CircuitContext& ctx,
+                              const NoiseModel& noise, const NoisyRunConfig& config) {
+  Rng rng(config.seed);
+  std::vector<Trial> trials = generate_trials(c, ctx.layering, noise, config.num_trials, rng);
+  assign_measurement_seeds(trials, rng);
+  reorder_trials(trials);
+  return trials;
+}
+
 TEST(TreeExec, BitwiseHistogramsAcrossThreadCountsTable1Suite) {
-  // The headline guarantee: for every Table I benchmark, tree-mode
-  // histograms are bitwise identical to the sequential run_noisy at 1, 2
-  // and 8 threads — parallelism is invisible in the results.
+  // The headline guarantee: for every Table I benchmark, the cached
+  // histogram at 1, 2 and 8 threads is bitwise the baseline loop's, and
+  // the op count is the sequential schedule's — parallelism is invisible
+  // in the results.
   const DeviceModel dev = yorktown_device();
   for (const BenchmarkEntry& entry : make_table1_suite(dev)) {
-    const NoisyRunConfig serial_config = make_config(400, 1, 5);
-    const NoisyRunResult serial = run_noisy(entry.compiled, dev.noise, serial_config);
+    NoisyRunConfig baseline_config = make_config(400, 1, 5);
+    baseline_config.mode = ExecutionMode::kBaseline;
+    const NoisyRunResult baseline = run_noisy(entry.compiled, dev.noise, baseline_config);
+    const NoisyRunResult counted =
+        analyze_noisy(entry.compiled, dev.noise, make_config(400, 1, 5));
     for (const std::size_t threads : {1u, 2u, 8u}) {
       const NoisyRunResult tree =
-          run_noisy_parallel(entry.compiled, dev.noise, make_config(400, threads, 5));
-      EXPECT_EQ(tree.histogram, serial.histogram)
+          run_noisy(entry.compiled, dev.noise, make_config(400, threads, 5));
+      EXPECT_EQ(tree.histogram, baseline.histogram)
           << entry.name << " @ " << threads << " threads";
-      EXPECT_EQ(tree.ops, serial.ops) << entry.name << " @ " << threads << " threads";
+      EXPECT_EQ(tree.ops, counted.ops) << entry.name << " @ " << threads << " threads";
     }
   }
 }
 
 TEST(TreeExec, ZeroRedundancyAtAnyThreadCount) {
-  // Tree-mode total work equals the sequential cached schedule exactly:
-  // same matrix-vector op count, same fork copies, zero redundant prefix
-  // ops — at every thread count (chunked mode pays per-boundary rework).
+  // Total work equals the sequential cached schedule exactly: same
+  // matrix-vector op count, same fork copies, at every thread count.
   const Circuit c = decompose_to_cx_basis(make_qft(4));
   const NoiseModel noise = NoiseModel::uniform(4, 0.02, 0.08, 0.02);
-  const NoisyRunResult serial = run_noisy(c, noise, make_config(5000, 1));
+  const CircuitContext ctx(c);
+  const std::vector<Trial> trials = run_trials(c, ctx, noise, make_config(5000, 1));
+  CountBackend counter(ctx);
+  schedule_trials(ctx, trials, counter);
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const NoisyRunResult tree =
-        run_noisy_parallel(c, noise, make_config(5000, threads));
-    EXPECT_EQ(tree.ops, serial.ops) << threads << " threads";
-    EXPECT_EQ(tree.fork_copies, serial.fork_copies) << threads << " threads";
-    EXPECT_EQ(tree.ops + tree.fork_copies, serial.ops + serial.fork_copies);
-    EXPECT_EQ(tree.redundant_prefix_ops, 0u) << threads << " threads";
+    const NoisyRunResult tree = run_noisy(c, noise, make_config(5000, threads));
+    EXPECT_EQ(tree.ops, counter.ops()) << threads << " threads";
+    EXPECT_EQ(tree.fork_copies, counter.copies()) << threads << " threads";
+    EXPECT_EQ(tree.max_live_states, counter.max_live_states()) << threads << " threads";
   }
 }
 
 TEST(TreeExec, ObservableMeansBitwiseAcrossThreads) {
+  // Reference: each trial simulated from scratch, its expectation values
+  // summed in reorder order — the order the tree reduces them in.
   const Circuit c = decompose_to_cx_basis(make_qft(3));
   const NoiseModel noise = NoiseModel::uniform(3, 0.02, 0.08, 0.03);
-  ParallelRunConfig config = make_config(4000, 1, 31);
+  NoisyRunConfig config = make_config(4000, 1, 31);
   config.observables = {PauliString::from_label("ZZI"),
                         PauliString::from_label("IXX")};
-  const NoisyRunResult serial = run_noisy(c, noise, config);
-  for (const std::size_t threads : {2u, 8u}) {
+  const CircuitContext ctx(c);
+  std::vector<double> expected(config.observables.size(), 0.0);
+  for (const Trial& trial : run_trials(c, ctx, noise, config)) {
+    const StateVector state = simulate_trial(ctx, trial);
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      expected[k] += expectation(state, config.observables[k]);
+    }
+  }
+  for (double& mean : expected) {
+    mean /= static_cast<double>(config.num_trials);
+  }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
     config.num_threads = threads;
-    const NoisyRunResult tree = run_noisy_parallel(c, noise, config);
+    const NoisyRunResult tree = run_noisy(c, noise, config);
     ASSERT_EQ(tree.observable_means.size(), 2u);
     for (std::size_t k = 0; k < 2; ++k) {
-      // Bitwise: per-trial values reduced in trial-index order, which is
-      // the sequential finish order.
-      EXPECT_EQ(tree.observable_means[k], serial.observable_means[k]);
+      EXPECT_EQ(tree.observable_means[k], expected[k]) << threads << " threads";
     }
   }
 }
@@ -95,11 +123,11 @@ TEST(TreeExec, MsvBudgetHoldsUnderConcurrency) {
   // schedule-equivalent (budgets change the schedule, not the physics).
   const Circuit c = decompose_to_cx_basis(make_qft(4));
   const NoiseModel noise = NoiseModel::uniform(4, 0.05, 0.2, 0.0);
-  const NoisyRunResult unbounded = run_noisy_parallel(c, noise, make_config(4000, 8));
+  const NoisyRunResult unbounded = run_noisy(c, noise, make_config(4000, 8));
   for (const std::size_t budget : {2u, 3u, 5u}) {
-    ParallelRunConfig config = make_config(4000, 8);
+    NoisyRunConfig config = make_config(4000, 8);
     config.max_states = budget;
-    const NoisyRunResult result = run_noisy_parallel(c, noise, config);
+    const NoisyRunResult result = run_noisy(c, noise, config);
     EXPECT_LE(result.max_live_states, budget);
     // Replay lowering trades ops for memory but never changes outcomes.
     EXPECT_EQ(result.histogram, unbounded.histogram) << "budget " << budget;
@@ -236,10 +264,15 @@ TEST(TreeExec, EmptyAndTinyTrialSets) {
   const Circuit c = decompose_to_cx_basis(make_qft(3));
   const NoiseModel noise = NoiseModel::uniform(3, 0.02, 0.08, 0.0);
   for (const std::size_t trials : {0u, 1u, 2u}) {
-    const NoisyRunResult serial = run_noisy(c, noise, make_config(trials, 1));
-    const NoisyRunResult tree = run_noisy_parallel(c, noise, make_config(trials, 8));
-    EXPECT_EQ(tree.histogram, serial.histogram);
-    EXPECT_EQ(tree.ops, serial.ops);
+    NoisyRunConfig baseline_config = make_config(trials, 1);
+    baseline_config.mode = ExecutionMode::kBaseline;
+    const NoisyRunResult baseline = run_noisy(c, noise, baseline_config);
+    const NoisyRunResult counted = analyze_noisy(c, noise, make_config(trials, 1));
+    for (const std::size_t threads : {1u, 8u}) {
+      const NoisyRunResult tree = run_noisy(c, noise, make_config(trials, threads));
+      EXPECT_EQ(tree.histogram, baseline.histogram);
+      EXPECT_EQ(tree.ops, counted.ops);
+    }
   }
 }
 

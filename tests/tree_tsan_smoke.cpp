@@ -17,7 +17,7 @@
 
 #include "bench_circuits/qft.hpp"
 #include "noise/noise_model.hpp"
-#include "sched/parallel.hpp"
+#include "sched/runner.hpp"
 #include "transpile/decompose.hpp"
 
 namespace {
@@ -36,41 +36,37 @@ void stress_tree_executor() {
   const rqsim::Circuit circuit = rqsim::decompose_to_cx_basis(rqsim::make_qft(5));
   const rqsim::NoiseModel noise = rqsim::NoiseModel::uniform(5, 0.02, 0.08, 0.02);
 
-  rqsim::ParallelRunConfig config;
+  rqsim::NoisyRunConfig config;
   config.num_trials = 2000;
   config.num_threads = 1;
   config.seed = 7;
-  const rqsim::NoisyRunResult reference =
-      rqsim::run_noisy_parallel(circuit, noise, config);
+  const rqsim::NoisyRunResult reference = rqsim::run_noisy(circuit, noise, config);
 
   for (const std::size_t threads : {2u, 4u, 8u}) {
     for (const std::size_t budget : {std::size_t{0}, std::size_t{4}}) {
       for (int rep = 0; rep < 3; ++rep) {
-        rqsim::ParallelRunConfig run = config;
+        rqsim::NoisyRunConfig run = config;
         run.num_threads = threads;
         run.max_states = budget;
-        const rqsim::NoisyRunResult result =
-            rqsim::run_noisy_parallel(circuit, noise, run);
+        const rqsim::NoisyRunResult result = rqsim::run_noisy(circuit, noise, run);
         SMOKE_CHECK(result.histogram == reference.histogram);
         SMOKE_CHECK(budget != 0 || result.ops == reference.ops);
-        SMOKE_CHECK(result.redundant_prefix_ops == 0);
       }
     }
   }
 
   // Fused advances: one FusionCache per worker, lazily memoizing — the
   // caches must never be shared across threads.
-  rqsim::ParallelRunConfig fused = config;
+  rqsim::NoisyRunConfig fused = config;
   fused.num_threads = 8;
   fused.fuse_gates = true;
   const rqsim::NoisyRunResult fused_serial = [&] {
-    rqsim::ParallelRunConfig one = fused;
+    rqsim::NoisyRunConfig one = fused;
     one.num_threads = 1;
-    return rqsim::run_noisy_parallel(circuit, noise, one);
+    return rqsim::run_noisy(circuit, noise, one);
   }();
   for (int rep = 0; rep < 2; ++rep) {
-    const rqsim::NoisyRunResult result =
-        rqsim::run_noisy_parallel(circuit, noise, fused);
+    const rqsim::NoisyRunResult result = rqsim::run_noisy(circuit, noise, fused);
     SMOKE_CHECK(result.histogram == fused_serial.histogram);
     SMOKE_CHECK(result.ops == fused_serial.ops);
   }

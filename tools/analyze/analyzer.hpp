@@ -2,8 +2,8 @@
 //
 // Three analysis families (rule catalog in DESIGN.md §12):
 //
-//   Source rules (token-level re-implementation of the grep rules in
-//   scripts/check_source_rules.sh, minus its false-negative classes):
+//   Source rules (token level, so comments, string literals and aliases
+//   are handled; see lexer.hpp):
 //     RQS001  raw state-buffer allocation outside sim/buffer_pool
 //     RQS002  RNG construction outside common/rng (incl. using-aliases)
 //     RQS003  std::thread outside the designated execution engines
@@ -58,7 +58,7 @@ struct MutexInfo {
 // ---------------------------------------------------------------- passes
 
 /// Token-level source rules RQS001–RQS007 over one file. The rule→exempt-
-/// path table lives in source_rules.cpp and mirrors check_source_rules.sh.
+/// path table lives in source_rules.cpp.
 void run_source_rules(const LexedFile& file, std::vector<Diagnostic>& out);
 
 /// Lock-order / blocking-under-lock / foreign-cv pass over a set of files.

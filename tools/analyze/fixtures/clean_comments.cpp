@@ -1,6 +1,6 @@
 // Fixture: zero diagnostics — every banned spelling below sits in a
 // comment or a string literal, where the token-level lexer must not see it
-// (the grep fallback's weak spot: it only strips `//` comments).
+// (a line regex's weak spot: it only strips `//` comments).
 /* A block comment mentioning std::mt19937, new Amp[4], malloc(64),
    std::thread, steady_clock and ::socket(2, 1, 0) is documentation. */
 const char* kDoc =

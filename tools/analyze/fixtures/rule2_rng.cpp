@@ -1,5 +1,5 @@
 // Fixture: RQS002 — std RNG construction outside common/rng, in the
-// qualified spelling the grep fallback also catches.
+// qualified spelling a line regex also catches.
 #include <random>
 
 int roll_qualified() {

@@ -1,5 +1,5 @@
 // Fixture: RQS002 through a using-directive — no `std::` spelling anywhere,
-// so the grep fallback cannot see this one; only the token-level pass with
+// so a line regex cannot see this one; only the token-level pass with
 // alias resolution catches it.
 #include <random>
 

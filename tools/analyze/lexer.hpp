@@ -1,13 +1,12 @@
 // Token-level C++ lexer for rqsim-analyze.
 //
-// The grep-based source rules (scripts/check_source_rules.sh) strip `//`
-// comments with sed and match the rest with regexes, which leaves three
-// known false-negative/false-positive classes: block comments, string
+// Source rules RQS001–RQS007 match tokens, not text. Line regexes would
+// leave three false-negative/false-positive classes: block comments, string
 // literals (a banned identifier mentioned inside either is not a call
-// site), and qualified aliases (`using std::mt19937;` hides the `std::`
-// the regex anchors on). This lexer eliminates all three by producing a
-// real token stream: comments and literals become their own token kinds
-// (or are dropped), so the rule passes only ever match code.
+// site), and qualified aliases (`using std::mt19937;` hides the `std::` a
+// regex anchors on). This lexer eliminates all three by producing a real
+// token stream: comments and literals become their own token kinds (or are
+// dropped), so the rule passes only ever match code.
 //
 // Scope: a scanner, not a parser. It understands
 //   - `//` line comments and `/* */` block comments,

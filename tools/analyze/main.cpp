@@ -3,8 +3,8 @@
 //   rqsim-analyze --root <repo-root> [--locks] [--list-rules]
 //
 // Exit codes: 0 = clean, 1 = diagnostics reported, 2 = usage / IO error.
-// Registered as the `analyze` ctest (tier-1); scripts/lint.sh prefers this
-// binary over the grep fallback when a build tree exists.
+// Registered as the `analyze` ctest (tier-1); scripts/lint.sh runs the same
+// binary from the build tree.
 #include <cstring>
 #include <iostream>
 #include <string>

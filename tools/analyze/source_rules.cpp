@@ -1,9 +1,8 @@
-// Source rules RQS001–RQS006: the six project rules of
-// scripts/check_source_rules.sh re-implemented on the token stream.
+// Source rules RQS001–RQS007 on the token stream.
 //
-// What the token level buys over the grep implementation:
+// What the token level buys over line-regex matching:
 //   - banned names inside block comments and string literals never match
-//     (the shell script only strips `//` comments);
+//     (a line regex only strips `//` comments);
 //   - `using std::mt19937;` / `using Engine = std::mt19937;` and
 //     `using namespace std;` are resolved, so an unqualified alias of a
 //     banned name is still caught (the regexes anchor on `std::`);
@@ -114,8 +113,8 @@ struct AliasScanner {
 // ------------------------------------------------------------------ RQS001
 
 void rule_raw_alloc(Ctx& ctx) {
-  // bench/ is exempt from rules 1–3 (parity with check_source_rules.sh,
-  // which only extends rules 4–6 to the bench drivers).
+  // bench/ is exempt from RQS001–RQS003; only RQS004–RQS006 extend to the
+  // bench drivers.
   static const std::vector<std::string> kExempt = {"sim/buffer_pool.", "bench/"};
   if (is_exempt(ctx.file.path, kExempt)) return;
   const auto& toks = ctx.file.tokens;
@@ -219,8 +218,7 @@ void rule_rng(Ctx& ctx) {
 
 void rule_thread(Ctx& ctx) {
   static const std::vector<std::string> kExempt = {
-      "sched/tree_exec.cpp", "sched/parallel.cpp", "service/", "router/",
-      "bench/"};
+      "sched/tree_exec.cpp", "service/", "router/", "bench/"};
   if (is_exempt(ctx.file.path, kExempt)) return;
   static const std::set<std::string> kThreadTypes = {"thread", "jthread"};
   AliasScanner aliases;
@@ -249,8 +247,8 @@ void rule_thread(Ctx& ctx) {
     if (i >= 2 && is_ident(toks[i - 2], "this_thread")) continue;
     ctx.report("RQS003", t.line,
                "std::thread use outside the designated execution engines",
-               "spawn through the tree executor, chunked fallback, service "
-               "worker pool — ad-hoc threads bypass MSV "
+               "spawn through the tree executor or the service worker "
+               "pool — ad-hoc threads bypass MSV "
                "reservations and per-trial-seed determinism");
   }
 }

@@ -29,7 +29,7 @@ std::uint64_t workload_affinity_key(const Json& submit_request) {
   canon.set("max_states", Json(submit_request.get_u64("max_states", 0)));
   canon.set("fuse", Json(submit_request.get_bool("fuse", false)));
   canon.set("analyze", Json(submit_request.get_bool("analyze", false)));
-  canon.set("parallel", Json(submit_request.get_u64("threads", 1) > 1));
+  canon.set("frames", Json(submit_request.get_bool("frames", false)));
   return stable_hash64(canon.dump());
 }
 

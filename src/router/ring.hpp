@@ -3,8 +3,8 @@
 // The fleet router's core job is arranging that *compatible* jobs — same
 // circuit, same noise model, same trial-compatible config — land on the
 // same backend process, no matter which tenant submitted them, so the
-// backend's cross-job batch planner (service/batch.hpp) can merge them into
-// one prefix-cached schedule. A consistent-hash ring gives that affinity a
+// backend can merge them into one prefix tree (run_noisy_batch,
+// sched/runner.hpp). A consistent-hash ring gives that affinity a
 // stable, coordination-free form: each backend owns `vnodes` pseudo-random
 // points on a 64-bit ring, and a workload key is served by the first
 // backend point at or clockwise after the key's hash. Adding or removing
@@ -36,8 +36,8 @@ std::uint64_t stable_hash64(const std::string& bytes);
 /// Canonical workload-affinity key of a submit request: hashes exactly the
 /// fields that must match for two jobs to be batch-compatible on a backend
 /// (the workload description plus mode / max_states / fuse / analyze /
-/// multi-threadedness — the spec-level mirror of batch_fingerprint), and
-/// none of the fields that vary freely within a merged batch (seed, trials,
+/// frames — the spec-level mirror of batch_fingerprint), and none of the
+/// fields that vary freely within a merged batch (seed, trials, threads,
 /// priority, tenant). Two submits with equal keys from different tenants
 /// therefore route to the same backend and can merge there.
 std::uint64_t workload_affinity_key(const Json& submit_request);

@@ -2,8 +2,8 @@
 // on the front and fanning work out to N backend SimServer instances.
 //
 // Why a router at all: the paper's redundancy elimination compounds when
-// *compatible* jobs share a process — the backend batch planner merges them
-// into one prefix-cached schedule (service/batch.hpp). With several
+// *compatible* jobs share a process — the backend merges them into one
+// prefix tree (run_noisy_batch, sched/runner.hpp). With several
 // independent backends, that reuse only happens if compatible jobs from
 // different tenants land on the *same* backend. The router arranges exactly
 // that with a consistent-hash ring over a canonical workload-affinity key

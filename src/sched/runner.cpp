@@ -11,7 +11,6 @@
 #include "sched/tree.hpp"
 #include "sched/tree_exec.hpp"
 #include "telemetry/clock.hpp"
-#include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 #include "trial/generator.hpp"
 #include "verify/plan_verifier.hpp"
@@ -33,11 +32,6 @@ void validate_run_limits(const NoisyRunConfig& config, const char* context) {
 
 namespace {
 
-// Read handle for the process-wide matvec-op total (written by the
-// baseline loop and the tree executor); run_noisy snapshots it around the
-// run so TelemetrySummary::measured_ops is this run's delta.
-telemetry::Counter g_matvec_ops("sim.matvec_ops");
-
 std::vector<Trial> make_trials(const Circuit& circuit, const CircuitContext& ctx,
                                const NoiseModel& noise, const NoisyRunConfig& config,
                                Rng& rng, const char* context) {
@@ -46,6 +40,18 @@ std::vector<Trial> make_trials(const Circuit& circuit, const CircuitContext& ctx
                   ": noise model covers fewer qubits than the circuit");
   validate_run_limits(config, context);
   return generate_trials(circuit, ctx.layering, noise, config.num_trials, rng);
+}
+
+/// A job's trial set with per-trial measurement seeds (assigned in
+/// generation order, before any reorder): sampling becomes independent of
+/// finish order, which makes the baseline loop and the prefix tree at any
+/// thread count and in any merge produce bitwise-identical histograms.
+std::vector<Trial> seeded_trials(const Circuit& circuit, const CircuitContext& ctx,
+                                 const NoiseModel& noise, const NoisyRunConfig& config) {
+  Rng rng(config.seed);
+  std::vector<Trial> trials = make_trials(circuit, ctx, noise, config, rng, "run_noisy");
+  assign_measurement_seeds(trials, rng);
+  return trials;
 }
 
 /// Observable sums to means, plus the accounting every mode derives from
@@ -70,8 +76,9 @@ void fill_common(NoisyRunResult& result, const CircuitContext& ctx,
                 static_cast<double>(result.baseline_ops);
 }
 
-}  // namespace
-
+/// Complete a job's result once the tree has executed: the executor
+/// counters from `tree`/`stats`, then the accounting of fill_common against
+/// result.ops, which the caller sets first.
 void fill_tree_result(NoisyRunResult& result, const CircuitContext& ctx,
                       const std::vector<Trial>& trials, const ExecTree& tree,
                       const TreeExecStats& stats) {
@@ -92,78 +99,210 @@ void fill_tree_result(NoisyRunResult& result, const CircuitContext& ctx,
   fill_common(result, ctx, trials);
 }
 
-NoisyRunResult run_noisy(const Circuit& circuit, const NoiseModel& noise,
-                         const NoisyRunConfig& config) {
-  RQSIM_SPAN("runner.run_noisy");
-  const telemetry::Stopwatch stopwatch;
-  const telemetry::MeasuredRunScope run_scope;
-  const bool measured = telemetry::compiled() && telemetry::enabled();
-  const std::uint64_t ops_before = measured ? g_matvec_ops.value() : 0;
-  circuit.validate();
-  RQSIM_CHECK(config.mode != ExecutionMode::kCachedUnordered,
+/// The tree options a cached run of `config` builds with. Frame collapse
+/// needs the per-gate Clifford structure (hidden by fused segments) and
+/// Pauli error injections (guaranteed by the noise model's channel set).
+ScheduleOptions tree_options(const NoisyRunConfig& config, const NoiseModel& noise,
+                             bool observed) {
+  ScheduleOptions options;
+  options.max_states = config.max_states;
+  options.frame_collapse =
+      config.frame_collapse && !config.fuse_gates && noise.all_channels_pauli();
+  options.frame_observables = observed;
+  return options;
+}
+
+/// A cached run's schedule, built (and proved) before any amplitude moves.
+struct TreePlan {
+  /// Each job's trials, seeded and reordered exactly as a standalone run.
+  std::vector<std::vector<Trial>> job_trials;
+
+  /// Several jobs only: the stable merge of job_trials (by job, then by
+  /// position), each merged trial's job, and each job's solo cost (its own
+  /// tree's planned_ops, exact under frame collapse too).
+  std::vector<Trial> merged;
+  std::vector<std::size_t> trial_jobs;
+  std::vector<opcount_t> solo_ops;
+
+  ExecTree tree;
+
+  /// The trial list `tree` was built over.
+  const std::vector<Trial>& trials() const {
+    return job_trials.size() == 1 ? job_trials.front() : merged;
+  }
+};
+
+/// Everything before amplitudes move: each job's trial generation and
+/// reorder, the cross-job merge and solo pricing, the tree build and proof.
+TreePlan plan_tree(const Circuit& circuit, const CircuitContext& ctx,
+                   const NoiseModel& noise,
+                   const std::vector<const NoisyRunConfig*>& configs) {
+  RQSIM_SPAN("runner.plan");
+  const std::size_t n = configs.size();
+  TreePlan plan;
+  plan.job_trials.resize(n);
+  bool observed = false;
+  bool verify = false;
+  for (std::size_t j = 0; j < n; ++j) {
+    plan.job_trials[j] = seeded_trials(circuit, ctx, noise, *configs[j]);
+    reorder_trials(plan.job_trials[j]);
+    observed = observed || !configs[j]->observables.empty();
+    verify = verify || configs[j]->verify_plans;
+  }
+  if (n > 1) {
+    // Restricted to one job, the stable merge order is its standalone order
+    // — the order its observable sums are reduced in.
+    struct Origin {
+      std::size_t job;
+      std::size_t index;
+    };
+    std::vector<Origin> origins;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::vector<Trial>& trials = plan.job_trials[j];
+      for (std::size_t i = 0; i < trials.size(); ++i) {
+        origins.push_back({j, i});
+      }
+      const ScheduleOptions solo =
+          tree_options(*configs[j], noise, !configs[j]->observables.empty());
+      plan.solo_ops.push_back(build_exec_tree(ctx, trials, solo).planned_ops);
+    }
+    std::stable_sort(origins.begin(), origins.end(),
+                     [&](const Origin& a, const Origin& b) {
+                       return trial_order_less(plan.job_trials[a.job][a.index],
+                                               plan.job_trials[b.job][b.index]);
+                     });
+    plan.merged.reserve(origins.size());
+    plan.trial_jobs.reserve(origins.size());
+    for (const Origin& origin : origins) {
+      plan.merged.push_back(plan.job_trials[origin.job][origin.index]);
+      plan.trial_jobs.push_back(origin.job);
+    }
+  }
+  const ScheduleOptions options = tree_options(*configs.front(), noise, observed);
+  plan.tree = build_exec_tree(ctx, plan.trials(), options);
+  if (verify) {
+    verify_tree_plan_or_throw(ctx, plan.trials(), plan.tree, options, "run_noisy");
+  }
+  return plan;
+}
+
+/// Split `batch_ops` over jobs in proportion to their solo costs, with a
+/// telescoping split so the shares sum exactly to batch_ops.
+std::vector<opcount_t> attribute_ops(opcount_t batch_ops,
+                                     const std::vector<opcount_t>& solo_ops) {
+  const std::size_t n = solo_ops.size();
+  opcount_t solo_total = 0;
+  for (const opcount_t solo : solo_ops) {
+    solo_total += solo;
+  }
+  std::vector<opcount_t> shares(n);
+  opcount_t cum_solo = 0;
+  opcount_t cum_attributed = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    cum_solo += solo_ops[j];
+    const opcount_t cum_share =
+        solo_total == 0
+            ? static_cast<opcount_t>(
+                  (static_cast<unsigned __int128>(batch_ops) * (j + 1)) / n)
+            : static_cast<opcount_t>(
+                  (static_cast<unsigned __int128>(batch_ops) * cum_solo) / solo_total);
+    shares[j] = cum_share - cum_attributed;
+    cum_attributed = cum_share;
+  }
+  return shares;
+}
+
+void validate_configs(const Circuit& circuit,
+                      const std::vector<const NoisyRunConfig*>& configs) {
+  RQSIM_CHECK(!configs.empty() && configs.front() != nullptr,
+              "run_noisy: no job configs");
+  const NoisyRunConfig& lead = *configs.front();
+  RQSIM_CHECK(lead.mode != ExecutionMode::kCachedUnordered,
               "run_noisy: the unordered-cache ablation is accounting-only; "
               "use analyze_noisy");
-  RQSIM_CHECK(config.num_threads <= 1 || config.mode == ExecutionMode::kCachedReordered,
-              "run_noisy: num_threads > 1 requires the cached mode");
-  for (const PauliString& pauli : config.observables) {
-    RQSIM_CHECK(pauli.min_qubits() <= circuit.num_qubits(),
-                "run_noisy: observable acts on qubits beyond the circuit");
+  RQSIM_CHECK(configs.size() == 1 || lead.mode == ExecutionMode::kCachedReordered,
+              "run_noisy: only cached runs merge");
+  for (const NoisyRunConfig* config : configs) {
+    RQSIM_CHECK(config != nullptr, "run_noisy: null job config");
+    RQSIM_CHECK(config->mode == lead.mode && config->max_states == lead.max_states &&
+                    config->fuse_gates == lead.fuse_gates &&
+                    config->frame_collapse == lead.frame_collapse,
+                "run_noisy: merged jobs must match in mode, max_states, "
+                "fuse_gates and frame_collapse");
+    RQSIM_CHECK(config->num_threads <= 1 || config->mode == ExecutionMode::kCachedReordered,
+                "run_noisy: num_threads > 1 requires the cached mode");
+    for (const PauliString& pauli : config->observables) {
+      RQSIM_CHECK(pauli.min_qubits() <= circuit.num_qubits(),
+                  "run_noisy: observable acts on qubits beyond the circuit");
+    }
   }
-  CircuitContext ctx(circuit);
-  Rng rng(config.seed);
-  std::vector<Trial> trials = make_trials(circuit, ctx, noise, config, rng, "run_noisy");
-  // Per-trial measurement seeds (assigned in generation order, before any
-  // reorder): sampling becomes independent of finish order, which makes the
-  // baseline loop and the prefix tree at any thread count produce
-  // bitwise-identical histograms.
-  assign_measurement_seeds(trials, rng);
+}
 
-  NoisyRunResult result;
-  if (config.mode == ExecutionMode::kBaseline) {
+}  // namespace
+
+NoisyBatchResult run_noisy_batch(const Circuit& circuit, const NoiseModel& noise,
+                                 const std::vector<const NoisyRunConfig*>& configs) {
+  RQSIM_SPAN("runner.run_noisy");
+  const telemetry::Stopwatch stopwatch;
+  circuit.validate();
+  validate_configs(circuit, configs);
+  const NoisyRunConfig& lead = *configs.front();
+  const std::size_t n = configs.size();
+  const CircuitContext ctx(circuit);
+
+  NoisyBatchResult out;
+  out.per_job.resize(n);
+  if (lead.mode == ExecutionMode::kBaseline) {
     RQSIM_SPAN("runner.baseline_simulate");
-    SvRunResult run = baseline_simulate(ctx, trials, &config.observables, config.fuse_gates);
+    const std::vector<Trial> trials = seeded_trials(circuit, ctx, noise, lead);
+    SvRunResult run = baseline_simulate(ctx, trials, &lead.observables, lead.fuse_gates);
+    NoisyRunResult& result = out.per_job.front();
     result.histogram = std::move(run.histogram);
     result.ops = run.ops;
     result.max_live_states = run.max_live_states;
     result.observable_means = std::move(run.observable_sums);
     result.telemetry.peak_live_states = result.max_live_states;
     fill_common(result, ctx, trials);
+    out.batch_ops = result.ops;
+    out.solo_ops = {result.ops};
   } else {
-    RQSIM_SPAN("runner.cached_schedule");
-    reorder_trials(trials);
-    ScheduleOptions options;
-    options.max_states = config.max_states;
-    // Frame collapse needs the per-gate Clifford structure (hidden by fused
-    // segments) and Pauli error injections (guaranteed by the noise model's
-    // channel set).
-    options.frame_collapse =
-        config.frame_collapse && !config.fuse_gates && noise.all_channels_pauli();
-    options.frame_observables = !config.observables.empty();
-    const ExecTree tree = build_exec_tree(ctx, trials, options);
-    if (config.verify_plans) {
-      verify_tree_plan_or_throw(ctx, trials, tree, options, "run_noisy");
-    }
+    const TreePlan plan = plan_tree(circuit, ctx, noise, configs);
     TreeExecConfig exec_config;
-    exec_config.num_threads = std::clamp<std::size_t>(
-        config.num_threads, 1, std::max<std::size_t>(1, trials.size()));
-    exec_config.max_states = config.max_states;
-    exec_config.fuse_gates = config.fuse_gates;
-    SampledTrialSink sink(ctx, trials, &config.observables);
-    const TreeExecStats stats = execute_tree(ctx, tree, trials, exec_config, sink);
-    result.histogram = sink.take_histogram();
-    result.ops = stats.ops;
-    result.observable_means = sink.take_observable_sums();
-    fill_tree_result(result, ctx, trials, tree, stats);
+    std::vector<const std::vector<PauliString>*> observables;
+    for (const NoisyRunConfig* config : configs) {
+      exec_config.num_threads = std::max(exec_config.num_threads, config->num_threads);
+      observables.push_back(&config->observables);
+    }
+    const std::vector<Trial>& trials = plan.trials();
+    exec_config.num_threads = std::min<std::size_t>(
+        exec_config.num_threads, std::max<std::size_t>(1, trials.size()));
+    exec_config.max_states = lead.max_states;
+    exec_config.fuse_gates = lead.fuse_gates;
+    SampledTrialSink sink(ctx, trials, n == 1 ? nullptr : &plan.trial_jobs, observables);
+    const TreeExecStats stats = execute_tree(ctx, plan.tree, trials, exec_config, sink);
+    out.batch_ops = stats.ops;
+    out.solo_ops = n == 1 ? std::vector<opcount_t>{stats.ops} : plan.solo_ops;
+    const std::vector<opcount_t> shares = attribute_ops(stats.ops, out.solo_ops);
+    for (std::size_t j = 0; j < n; ++j) {
+      NoisyRunResult& result = out.per_job[j];
+      result.ops = shares[j];
+      result.histogram = sink.take_histogram(j);
+      result.observable_means = sink.take_observable_sums(j);
+      fill_tree_result(result, ctx, plan.job_trials[j], plan.tree, stats);
+    }
   }
-  // A concurrent run (service with multiple workers) would fold its ops
-  // into our counter delta; report measured=false rather than an inflated
-  // measured_ops that no longer equals result.ops.
-  result.telemetry.measured = measured && run_scope.exclusive();
-  if (result.telemetry.measured) {
-    result.telemetry.measured_ops = g_matvec_ops.value() - ops_before;
+  const double wall_ms = stopwatch.elapsed_ms();
+  for (NoisyRunResult& result : out.per_job) {
+    result.telemetry.measured = true;
+    result.telemetry.measured_ops = result.ops;
+    result.telemetry.wall_ms = wall_ms;
   }
-  result.telemetry.wall_ms = stopwatch.elapsed_ms();
-  return result;
+  return out;
+}
+
+NoisyRunResult run_noisy(const Circuit& circuit, const NoiseModel& noise,
+                         const NoisyRunConfig& config) {
+  return std::move(run_noisy_batch(circuit, noise, {&config}).per_job.front());
 }
 
 NoisyRunResult analyze_noisy(const Circuit& circuit, const NoiseModel& noise,

@@ -1,17 +1,19 @@
 // High-level public API: one call from circuit + noise model to a noisy
 // Monte Carlo simulation result, in any of three execution modes.
 //
-//   run_noisy      — real statevector execution (outcome histogram), for
-//                    circuits small enough to hold amplitudes. The cached
-//                    mode builds the prefix tree of the reordered trials and
-//                    runs it on the work-stealing executor
-//                    (sched/tree_exec.hpp) at every thread count.
-//   analyze_noisy  — accounting only (ops, MSV); scales to any qubit count
-//                    because no statevector is ever allocated. This is the
-//                    entry point of the paper's scalability experiments.
+//   run_noisy_batch — real statevector execution (outcome histograms), for
+//                     circuits small enough to hold amplitudes. The cached
+//                     mode merges the reordered trials of one or more jobs
+//                     into one prefix tree and runs it on the work-stealing
+//                     executor (sched/tree_exec.hpp) at every thread count.
+//   run_noisy       — its one-job call.
+//   analyze_noisy   — accounting only (ops, MSV); scales to any qubit count
+//                     because no statevector is ever allocated. This is the
+//                     entry point of the paper's scalability experiments.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "noise/noise_model.hpp"
@@ -97,20 +99,17 @@ struct NoisyRunConfig {
 /// `context` names the caller in the error message.
 void validate_run_limits(const NoisyRunConfig& config, const char* context);
 
-/// Runtime-measured execution summary (src/telemetry/). The op-derived
-/// fields (ops_saved_vs_baseline, prefix_cache_hit_ratio) and wall_ms are
-/// always filled; the counter-backed fields (measured_ops and the
-/// scheduling/pool counters) are meaningful only when `measured` is true —
-/// i.e. the telemetry registry was compiled in and enabled for the run.
+/// Runtime-measured execution summary. Every field comes from the run's own
+/// counts, never from a process-global counter delta, so runs that overlap
+/// in one process (service workers) each report their own numbers.
 struct TelemetrySummary {
+  /// True for every executed statevector run (run_noisy_batch); false for
+  /// analyze_noisy, which executes nothing.
   bool measured = false;
 
-  /// Delta of the "sim.matvec_ops" registry counter across this run. When
-  /// measured, this equals NoisyRunResult::ops bitwise — the runtime
-  /// cross-check of the PlanVerifier's static op-count proof. Runs that
-  /// overlap another run in the same process (service with multiple
-  /// workers) detect it via telemetry::MeasuredRunScope and report
-  /// measured=false rather than a delta polluted by the other run's ops.
+  /// Matrix-vector ops this run executed: NoisyRunResult::ops (a merged
+  /// job's attributed share). The process-global "sim.matvec_ops" counter
+  /// accumulates the same ops for stats/--prom.
   opcount_t measured_ops = 0;
 
   /// baseline_ops - ops: work the prefix cache eliminated.
@@ -121,7 +120,7 @@ struct TelemetrySummary {
   double prefix_cache_hit_ratio = 0.0;
 
   /// Wallclock of the execution phase (trial generation + scheduling +
-  /// simulation), telemetry clock.
+  /// simulation), telemetry clock; a merged job reports its batch's.
   double wall_ms = 0.0;
 
   /// Tree-executor scheduling dynamics (cached runs; zero elsewhere).
@@ -189,25 +188,49 @@ struct NoisyRunResult {
   TelemetrySummary telemetry;
 };
 
-/// Statevector execution. The circuit must be decomposed to 1-/2-qubit
-/// gates and small enough for explicit amplitudes (<= 30 qubits).
-/// kCachedReordered builds the reordered trials' prefix tree, proves it when
-/// config.verify_plans is set, and executes it on config.num_threads
-/// workers; histograms and observable means are bitwise identical at every
-/// thread count and to the kBaseline histogram of the same seed.
+/// Result of run_noisy_batch.
+struct NoisyBatchResult {
+  /// One result per config, in input order. `ops` is the job's attributed
+  /// share of batch_ops; histograms and observable means are bitwise those
+  /// of a standalone run_noisy of the same config.
+  std::vector<NoisyRunResult> per_job;
+
+  /// Each job's standalone cost: its own prefix tree's planned_ops, frame
+  /// collapse included (== its run_noisy ops).
+  std::vector<opcount_t> solo_ops;
+
+  /// Ops the merged tree executed; below the sum of solo_ops whenever jobs
+  /// share an error prefix.
+  opcount_t batch_ops = 0;
+};
+
+/// Statevector execution of one or more jobs on one circuit and noise
+/// model. The circuit must be decomposed to 1-/2-qubit gates and small
+/// enough for explicit amplitudes (<= 30 qubits).
+///
+/// kCachedReordered generates, seeds and reorders each job's trials exactly
+/// as a standalone run would, merges them stably (by job, then by position
+/// in the job's reordered list), builds one prefix tree, proves it when any
+/// config sets verify_plans, and executes it with frame collapse on the
+/// largest num_threads any config asks for. Every error prefix shared
+/// across jobs is simulated once (the tree reuse of TQSim, PAPERS.md).
+/// Jobs may differ in seed, num_trials, observables, num_threads and
+/// verify_plans; mode, max_states, fuse_gates and frame_collapse must
+/// match. The merged ops are attributed to jobs in proportion to their
+/// solo_ops, telescoped so the shares sum exactly to batch_ops.
+///
+/// With unfused kernels each job's histogram and observable means are
+/// bitwise identical at every thread count, to a standalone run and to the
+/// kBaseline histogram of the same seed: sampling draws from each trial's
+/// private measurement seed, and the stable merge keeps each job's trials
+/// in its standalone order. kBaseline takes exactly one config and rejects
+/// num_threads > 1. Throws rqsim::Error on invalid or mismatched configs.
+NoisyBatchResult run_noisy_batch(const Circuit& circuit, const NoiseModel& noise,
+                                 const std::vector<const NoisyRunConfig*>& configs);
+
+/// One-job run_noisy_batch.
 NoisyRunResult run_noisy(const Circuit& circuit, const NoiseModel& noise,
                          const NoisyRunConfig& config);
-
-/// Complete a result whose prefix tree has executed: copies the executor
-/// counters from `tree`/`stats`, turns the observable sums held in
-/// result.observable_means into means over `trials`, and derives the
-/// trial-set accounting (baseline ops, trial statistics, normalized
-/// computation, cache-hit ratio) against result.ops, which the caller sets
-/// first. Shared by run_noisy and the service batch planner, which sets
-/// result.ops to a job's attributed share of the merged schedule.
-void fill_tree_result(NoisyRunResult& result, const CircuitContext& ctx,
-                      const std::vector<Trial>& trials, const ExecTree& tree,
-                      const TreeExecStats& stats);
 
 /// Accounting-only execution (no amplitudes). Valid for any qubit count.
 NoisyRunResult analyze_noisy(const Circuit& circuit, const NoiseModel& noise,

@@ -809,19 +809,6 @@ class TreeExecutor {
 
 }  // namespace
 
-void TreeTrialSink::on_finish_frames(std::size_t node,
-                                     const std::vector<FrameTrial>& frames,
-                                     const StateVector& state,
-                                     const std::vector<double>* probs) {
-  (void)node;
-  (void)frames;
-  (void)state;
-  (void)probs;
-  // Losing trials silently would corrupt results: a sink fed a framed tree
-  // must implement frame finishing explicitly.
-  RQSIM_CHECK(false, "TreeTrialSink: sink does not support frame-collapsed trees");
-}
-
 TreeExecStats execute_tree(const CircuitContext& ctx, const ExecTree& tree,
                            const std::vector<Trial>& trials,
                            const TreeExecConfig& config, TreeTrialSink& sink) {
@@ -836,24 +823,50 @@ TreeExecStats execute_tree(const CircuitContext& ctx, const ExecTree& tree,
 SampledTrialSink::SampledTrialSink(const CircuitContext& ctx,
                                    const std::vector<Trial>& trials,
                                    const std::vector<PauliString>* observables)
-    : ctx_(ctx), trials_(trials), observables_(observables) {
+    : SampledTrialSink(ctx, trials, nullptr, {observables}) {}
+
+SampledTrialSink::SampledTrialSink(
+    const CircuitContext& ctx, const std::vector<Trial>& trials,
+    const std::vector<std::size_t>* trial_jobs,
+    const std::vector<const std::vector<PauliString>*>& job_observables)
+    : ctx_(ctx), trials_(trials), trial_jobs_(trial_jobs) {
+  RQSIM_CHECK(trial_jobs == nullptr || trial_jobs->size() == trials.size(),
+              "SampledTrialSink: one job index per trial");
   sampled_ = !ctx.circuit.measured_qubits().empty();
   if (sampled_) {
     outcomes_.assign(trials.size(), 0);
   }
-  if (observables_ != nullptr && !observables_->empty()) {
-    expectations_.assign(trials.size() * observables_->size(), 0.0);
-    obs_xmask_.reserve(observables_->size());
-    for (const PauliString& p : *observables_) {
+  static const std::vector<PauliString> kNone;
+  jobs_.reserve(job_observables.size());
+  for (const std::vector<PauliString>* observables : job_observables) {
+    JobObservables& job = jobs_.emplace_back();
+    job.list = observables != nullptr ? observables : &kNone;
+    for (const PauliString& p : *job.list) {
       std::uint64_t mask = 0;
       for (const auto& [q, pauli] : p.factors()) {
         if (pauli == Pauli::X || pauli == Pauli::Y) {
           mask |= std::uint64_t{1} << q;
         }
       }
-      obs_xmask_.push_back(mask);
+      job.xmask.push_back(mask);
     }
+    stride_ = std::max(stride_, job.list->size());
   }
+  expectations_.assign(trials.size() * stride_, 0.0);
+}
+
+void SampledTrialSink::evaluate(std::size_t job, const StateVector& state,
+                                std::size_t& values_job,
+                                std::vector<double>& values) const {
+  if (values_job == job) {
+    return;
+  }
+  const std::vector<PauliString>& observables = *jobs_[job].list;
+  values.resize(observables.size());
+  for (std::size_t k = 0; k < observables.size(); ++k) {
+    values[k] = expectation(state, observables[k]);
+  }
+  values_job = job;
 }
 
 void SampledTrialSink::on_finish_group(std::size_t node, std::size_t first_trial,
@@ -867,18 +880,18 @@ void SampledTrialSink::on_finish_group(std::size_t node, std::size_t first_trial
       outcomes_[t] = sample_outcome(*probs, trial_rng) ^ trials_[t].meas_flip_mask;
     }
   }
-  if (!expectations_.empty()) {
-    const std::size_t k_count = observables_->size();
-    // One evaluation per finishing buffer, shared by every trial in the
-    // group; each trial's value is bitwise what its own state evaluates to.
-    std::vector<double> values(k_count);
-    for (std::size_t k = 0; k < k_count; ++k) {
-      values[k] = expectation(state, (*observables_)[k]);
-    }
-    for (std::size_t t = first_trial; t < first_trial + count; ++t) {
-      std::copy(values.begin(), values.end(),
-                expectations_.begin() + static_cast<std::ptrdiff_t>(t * k_count));
-    }
+  if (stride_ == 0) {
+    return;
+  }
+  // One evaluation per finishing buffer and job, shared by the job's
+  // trials in the group; each trial's value is bitwise what its own state
+  // evaluates to.
+  std::vector<double> values;
+  std::size_t values_job = jobs_.size();
+  for (std::size_t t = first_trial; t < first_trial + count; ++t) {
+    evaluate(job_of(t), state, values_job, values);
+    std::copy(values.begin(), values.end(),
+              expectations_.begin() + static_cast<std::ptrdiff_t>(t * stride_));
   }
 }
 
@@ -887,16 +900,12 @@ void SampledTrialSink::on_finish_frames(std::size_t node,
                                         const StateVector& state,
                                         const std::vector<double>* probs) {
   (void)node;
+  // One evaluation per finishing buffer and job; each frame trial then
+  // signs the shared value by its Z mask's anticommutation parity —
+  // bitwise what the trial's own forked (sign-flipped) statevector
+  // evaluates to.
   std::vector<double> values;
-  if (!expectations_.empty()) {
-    // One evaluation per finishing buffer; each frame trial then signs the
-    // shared value by its Z mask's anticommutation parity — bitwise what
-    // the trial's own forked (sign-flipped) statevector evaluates to.
-    values.resize(observables_->size());
-    for (std::size_t k = 0; k < observables_->size(); ++k) {
-      values[k] = expectation(state, (*observables_)[k]);
-    }
-  }
+  std::size_t values_job = jobs_.size();
   const std::vector<qubit_t>& measured = ctx_.circuit.measured_qubits();
   for (const FrameTrial& ft : frames) {
     const std::size_t t = ft.trial;
@@ -908,38 +917,45 @@ void SampledTrialSink::on_finish_frames(std::size_t node,
       outcomes_[t] = sample_outcome_permuted(*probs, flip, trial_rng) ^
                      trials_[t].meas_flip_mask;
     }
-    if (!expectations_.empty()) {
-      const std::size_t k_count = observables_->size();
-      for (std::size_t k = 0; k < k_count; ++k) {
-        const bool negate =
-            (std::popcount(ft.frame_z & obs_xmask_[k]) & 1) != 0;
-        expectations_[t * k_count + k] = negate ? -values[k] : values[k];
-      }
+    if (stride_ == 0) {
+      continue;
+    }
+    const std::size_t job = job_of(t);
+    evaluate(job, state, values_job, values);
+    const std::vector<std::uint64_t>& xmask = jobs_[job].xmask;
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      const bool negate = (std::popcount(ft.frame_z & xmask[k]) & 1) != 0;
+      expectations_[t * stride_ + k] = negate ? -values[k] : values[k];
     }
   }
 }
 
-OutcomeHistogram SampledTrialSink::take_histogram() {
+OutcomeHistogram SampledTrialSink::take_histogram(std::size_t job) {
   OutcomeHistogram histogram;
   if (sampled_) {
-    for (const std::uint64_t outcome : outcomes_) {
-      ++histogram[outcome];
+    for (std::size_t t = 0; t < trials_.size(); ++t) {
+      if (job_of(t) == job) {
+        ++histogram[outcomes_[t]];
+      }
     }
   }
   return histogram;
 }
 
-std::vector<double> SampledTrialSink::take_observable_sums() {
-  const std::size_t k_count = observables_ != nullptr ? observables_->size() : 0;
+std::vector<double> SampledTrialSink::take_observable_sums(std::size_t job) {
+  const std::size_t k_count = jobs_.at(job).list->size();
   std::vector<double> sums(k_count, 0.0);
-  if (expectations_.empty()) {
+  if (k_count == 0) {
     return sums;
   }
   // Trial-index order == the sequential schedule's finish order, fixed
   // whatever the thread count.
   for (std::size_t t = 0; t < trials_.size(); ++t) {
+    if (job_of(t) != job) {
+      continue;
+    }
     for (std::size_t k = 0; k < k_count; ++k) {
-      sums[k] += expectations_[t * k_count + k];
+      sums[k] += expectations_[t * stride_ + k];
     }
   }
   return sums;

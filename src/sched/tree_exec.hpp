@@ -80,13 +80,11 @@ class TreeTrialSink {
   /// drawn from the *frame-permuted* distribution (sample_outcome_permuted
   /// with the frame's measured-bit flip) and each observable value signed
   /// by the frame's Z mask. `state`/`probs` are shared with the same
-  /// node's on_finish_group call. The default implementation throws —
-  /// sinks that never execute framed trees (service batching) need not
-  /// override.
+  /// node's on_finish_group call.
   virtual void on_finish_frames(std::size_t node,
                                 const std::vector<FrameTrial>& frames,
                                 const StateVector& state,
-                                const std::vector<double>* probs);
+                                const std::vector<double>* probs) = 0;
 };
 
 struct TreeExecConfig {
@@ -172,10 +170,24 @@ TreeExecStats execute_tree(const CircuitContext& ctx, const ExecTree& tree,
 /// histogram assembly, and per-trial observable evaluation with the final
 /// reduction in trial-index order (the sequential schedule's finish order),
 /// so the sums do not depend on the thread count.
+///
+/// One sink also serves a merged trial list of several jobs: trial t
+/// belongs to job trial_jobs[t] and evaluates that job's observables, and
+/// each job is reduced on its own. Restricted to one job, the merged order
+/// is the job's own reordered order when the merge is stable by job and
+/// then by position (sched/runner.cpp), so every job reduces exactly as
+/// it would alone.
 class SampledTrialSink : public TreeTrialSink {
  public:
+  /// One job: every trial evaluates `observables` (null = none).
   SampledTrialSink(const CircuitContext& ctx, const std::vector<Trial>& trials,
                    const std::vector<PauliString>* observables);
+
+  /// Merged jobs: trial t evaluates job_observables[trial_jobs[t]]. A null
+  /// `trial_jobs` puts every trial in job 0.
+  SampledTrialSink(const CircuitContext& ctx, const std::vector<Trial>& trials,
+                   const std::vector<std::size_t>* trial_jobs,
+                   const std::vector<const std::vector<PauliString>*>& job_observables);
 
   void on_finish_group(std::size_t node, std::size_t first_trial, std::size_t count,
                        const StateVector& state,
@@ -185,23 +197,40 @@ class SampledTrialSink : public TreeTrialSink {
                         const StateVector& state,
                         const std::vector<double>* probs) override;
 
-  /// Reduce per-trial slots into the final histogram / observable sums.
-  /// Call once, after execute_tree returns.
-  OutcomeHistogram take_histogram();
-  std::vector<double> take_observable_sums();
+  /// Reduce job `job`'s per-trial slots into its histogram / observable
+  /// sums. Call once per job, after execute_tree returns.
+  OutcomeHistogram take_histogram(std::size_t job = 0);
+  std::vector<double> take_observable_sums(std::size_t job = 0);
 
  private:
+  struct JobObservables {
+    const std::vector<PauliString>* list = nullptr;  // never null
+    /// X-support mask (X and Y factors) of each observable: a Z-only frame
+    /// flips observable k's sign iff popcount(frame_z & xmask[k]) is odd —
+    /// Z P Z† = -P exactly for anticommuting P, so signing the shared
+    /// buffer's expectation value is bitwise what the forked state yields.
+    std::vector<std::uint64_t> xmask;
+  };
+
+  std::size_t job_of(std::size_t trial) const {
+    return trial_jobs_ == nullptr ? 0 : (*trial_jobs_)[trial];
+  }
+
+  /// Expectation values of `job`'s observables on `state` into `values`,
+  /// unless `values` already holds them (`values_job == job`).
+  void evaluate(std::size_t job, const StateVector& state, std::size_t& values_job,
+                std::vector<double>& values) const;
+
   const CircuitContext& ctx_;
   const std::vector<Trial>& trials_;
-  const std::vector<PauliString>* observables_;
+  const std::vector<std::size_t>* trial_jobs_;
+  std::vector<JobObservables> jobs_;
   bool sampled_ = false;
-  std::vector<std::uint64_t> outcomes_;      // per trial, valid iff sampled_
-  std::vector<double> expectations_;          // trials × observables, flat
-  /// X-support mask (X and Y factors) of each observable: a Z-only frame
-  /// flips observable k's sign iff popcount(frame_z & obs_xmask_[k]) is
-  /// odd — Z P Z† = -P exactly for anticommuting P, so signing the shared
-  /// buffer's expectation value is bitwise what the forked state yields.
-  std::vector<std::uint64_t> obs_xmask_;
+  std::vector<std::uint64_t> outcomes_;  // per trial, valid iff sampled_
+  /// Observable values, flat: trial t's start at t * stride_, where
+  /// stride_ is the largest observable count of any job.
+  std::size_t stride_ = 0;
+  std::vector<double> expectations_;
 };
 
 }  // namespace rqsim

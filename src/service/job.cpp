@@ -120,16 +120,13 @@ std::uint64_t batch_fingerprint(const JobSpec& spec) {
   fnv.mix(static_cast<std::uint64_t>(spec.config.fuse_gates));
   fnv.mix(static_cast<std::uint64_t>(spec.config.frame_collapse));
   fnv.mix(static_cast<std::uint64_t>(spec.analyze_only));
-  fnv.mix(static_cast<std::uint64_t>(spec.config.num_threads > 1));
   return fnv.h;
 }
 
 bool batch_compatible(const JobSpec& a, const JobSpec& b) {
-  // Only serial, unframed statevector cached-reordered jobs are merged: the
-  // merged schedule runs on one worker and is never frame-collapsed (see
-  // service/batch.hpp), so a job asking for either runs alone.
-  if (a.analyze_only || b.analyze_only || a.config.num_threads > 1 ||
-      b.config.num_threads > 1 || a.config.frame_collapse || b.config.frame_collapse) {
+  // Thread counts need not match: the merged tree runs on the largest one
+  // and its results are bitwise identical at every count.
+  if (a.analyze_only || b.analyze_only) {
     return false;
   }
   if (a.config.mode != ExecutionMode::kCachedReordered ||
@@ -137,7 +134,8 @@ bool batch_compatible(const JobSpec& a, const JobSpec& b) {
     return false;
   }
   if (a.config.max_states != b.config.max_states ||
-      a.config.fuse_gates != b.config.fuse_gates) {
+      a.config.fuse_gates != b.config.fuse_gates ||
+      a.config.frame_collapse != b.config.frame_collapse) {
     return false;
   }
   return same_circuit(a.circuit, b.circuit) &&

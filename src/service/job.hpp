@@ -4,9 +4,9 @@
 // noise model, and a NoisyRunConfig (thread count included) — plus
 // scheduling metadata (priority) and an accounting-only selector. Results
 // extend NoisyRunResult with queue/execution timing and batch attribution:
-// when the batch planner coalesces several compatible jobs into one merged
-// schedule (service/batch.hpp), each job records the combined batch cost
-// next to what it would have cost alone.
+// when the service coalesces several compatible jobs into one merged
+// prefix tree (run_noisy_batch, sched/runner.hpp), each job records the
+// combined batch cost next to what it would have cost alone.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +35,6 @@ const char* job_priority_name(JobPriority priority);
 struct JobSpec {
   Circuit circuit;   // must already be decomposed to 1-/2-qubit gates
   NoiseModel noise;  // must cover circuit.num_qubits()
-  /// config.num_threads > 1 and config.frame_collapse jobs are never
-  /// batched with other jobs; they run alone through run_noisy.
   NoisyRunConfig config;
 
   /// Accounting-only execution via analyze_noisy (no statevector).
@@ -100,14 +98,14 @@ struct JobStatus {
 /// Content fingerprint of the workload portion of a spec that must match
 /// for two jobs to be batchable: circuit structure, noise rates, execution
 /// mode, MSV budget, fusion and frame settings. Seed, trial count,
-/// observables and priority are deliberately excluded — they vary freely
-/// within a batch.
+/// observables, thread count and priority are deliberately excluded — they
+/// vary freely within a batch.
 std::uint64_t batch_fingerprint(const JobSpec& spec);
 
 /// Exact batchability check (fingerprint equality plus a field-by-field
 /// comparison, so hash collisions can never merge distinct workloads).
-/// Multi-threaded and frame-collapse jobs are never batchable: the merged
-/// schedule runs on one worker and never frame-collapses.
+/// Only cached-reordered statevector jobs merge; frame_collapse must match,
+/// thread counts need not (the merged tree runs on the largest one).
 bool batch_compatible(const JobSpec& a, const JobSpec& b);
 
 }  // namespace rqsim

@@ -92,7 +92,7 @@ struct SubmitParams {
   /// Pauli-frame subtree collapse (NoisyRunConfig::frame_collapse): cached
   /// runs finish Clifford-propagatable trials as tracked frames instead of
   /// forked statevectors. Bitwise-identical results, fewer matvec ops.
-  /// Framed jobs always run unmerged.
+  /// Framed jobs merge only with other framed jobs.
   bool frames = false;
   std::string tenant;  // fair-share identity; empty = anonymous
 

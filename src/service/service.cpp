@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "service/batch.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
@@ -244,29 +243,21 @@ void SimService::execute_batch_group(const std::vector<Job*>& group) {
   g_batch_jobs.record(group.size());
   // Runs without the lock: specs are immutable once queued and the jobs are
   // in kRunning, which no other path mutates.
-  std::vector<NoisyRunResult> runs;
-  std::vector<opcount_t> solo_ops;
-  opcount_t batch_ops = 0;
+  NoisyBatchResult batch;
   std::string error;
   try {
-    if (group.size() > 1) {
-      std::vector<const JobSpec*> specs;
-      specs.reserve(group.size());
-      for (const Job* job : group) {
-        specs.push_back(&job->spec);
-      }
-      BatchExecution batch = execute_batch(specs);
-      runs = std::move(batch.per_job);
-      solo_ops = std::move(batch.solo_ops);
-      batch_ops = batch.batch_ops;
+    const JobSpec& lead = group.front()->spec;
+    if (lead.analyze_only) {  // never merged: analyze_only is batch-incompatible
+      batch.per_job.push_back(analyze_noisy(lead.circuit, lead.noise, lead.config));
+      batch.batch_ops = batch.per_job.front().ops;
+      batch.solo_ops.push_back(batch.batch_ops);
     } else {
-      const JobSpec& spec = group.front()->spec;
-      NoisyRunResult run = spec.analyze_only
-                               ? analyze_noisy(spec.circuit, spec.noise, spec.config)
-                               : run_noisy(spec.circuit, spec.noise, spec.config);
-      batch_ops = run.ops;
-      solo_ops.push_back(run.ops);
-      runs.push_back(std::move(run));
+      std::vector<const NoisyRunConfig*> configs;
+      configs.reserve(group.size());
+      for (const Job* job : group) {
+        configs.push_back(&job->spec.config);
+      }
+      batch = run_noisy_batch(lead.circuit, lead.noise, configs);
     }
   } catch (const std::exception& e) {
     error = e.what();
@@ -293,9 +284,9 @@ void SimService::execute_batch_group(const std::vector<Job*>& group) {
     if (error.empty()) {
       job.state = JobState::kDone;
       job.result.state = JobState::kDone;
-      job.result.run = std::move(runs[j]);
-      job.result.batch_ops = batch_ops;
-      job.result.solo_ops = solo_ops[j];
+      job.result.run = std::move(batch.per_job[j]);
+      job.result.batch_ops = batch.batch_ops;
+      job.result.solo_ops = batch.solo_ops[j];
       ++stats_.completed;
       g_completed.increment();
     } else {
@@ -309,8 +300,8 @@ void SimService::execute_batch_group(const std::vector<Job*>& group) {
   if (error.empty() && group.size() > 1) {
     ++stats_.merged_batches;
     stats_.merged_jobs += group.size();
-    stats_.merged_batch_ops += batch_ops;
-    for (const opcount_t s : solo_ops) {
+    stats_.merged_batch_ops += batch.batch_ops;
+    for (const opcount_t s : batch.solo_ops) {
       stats_.merged_solo_ops += s;
     }
     bool cross_tenant = false;

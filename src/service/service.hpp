@@ -6,7 +6,8 @@
 // backpressure signal; clients retry or shed load). Workers claim the
 // highest-priority queued job, then scan the remaining queue for jobs that
 // are batch-compatible with it (service/job.hpp) and execute the whole
-// group as one merged schedule (service/batch.hpp). poll() is a cheap
+// group as one merged prefix tree (run_noisy_batch, sched/runner.hpp); a
+// group of one is the same call. poll() is a cheap
 // state snapshot, wait() blocks until the job is terminal, cancel()
 // removes a job that is still queued (a job already claimed by a worker
 // runs to completion — simulation is not interruptible mid-schedule).

@@ -179,28 +179,6 @@ void set_enabled(bool on) {
   enabled_flag().store(on, std::memory_order_relaxed);
 }
 
-namespace {
-// MeasuredRunScope bookkeeping: how many scopes are alive, and how many
-// have ever started. A scope is exclusive iff it was alone when it began
-// and nothing else started since — both directions of overlap are caught.
-std::atomic<int> g_scopes_in_flight{0};
-std::atomic<std::uint64_t> g_scope_starts{0};
-}  // namespace
-
-MeasuredRunScope::MeasuredRunScope()
-    : start_seq_(g_scope_starts.fetch_add(1, std::memory_order_acq_rel) + 1),
-      alone_at_entry_(
-          g_scopes_in_flight.fetch_add(1, std::memory_order_acq_rel) == 0) {}
-
-MeasuredRunScope::~MeasuredRunScope() {
-  g_scopes_in_flight.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-bool MeasuredRunScope::exclusive() const {
-  return alone_at_entry_ &&
-         g_scope_starts.load(std::memory_order_acquire) == start_seq_;
-}
-
 Counter::Counter(const char* name)
     : id_(intern_scalar(name, MetricKind::kCounter)) {}
 

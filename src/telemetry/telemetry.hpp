@@ -129,30 +129,6 @@ class Histogram {
   std::uint32_t id_;
 };
 
-/// Guards process-global counter deltas (e.g. TelemetrySummary::
-/// measured_ops = end - start of "sim.matvec_ops"): such a delta is only
-/// attributable to one run if no other run wrote the counter in between.
-/// Each measured run holds one scope for its duration; `exclusive()` is
-/// true iff no other scope overlapped this one's lifetime so far, so
-/// callers can downgrade to measured=false instead of reporting a delta
-/// polluted by concurrent runs (the service executes jobs concurrently
-/// when configured with multiple workers).
-class MeasuredRunScope {
- public:
-  MeasuredRunScope();
-  ~MeasuredRunScope();
-  MeasuredRunScope(const MeasuredRunScope&) = delete;
-  MeasuredRunScope& operator=(const MeasuredRunScope&) = delete;
-
-  /// False once any other scope has been alive at any point during this
-  /// scope's lifetime. Check immediately before taking the end snapshot.
-  bool exclusive() const;
-
- private:
-  std::uint64_t start_seq_;
-  bool alone_at_entry_;
-};
-
 /// Aggregate every metric across live and retired shards.
 MetricsSnapshot snapshot_metrics();
 
@@ -187,14 +163,6 @@ class Histogram {
  public:
   explicit Histogram(const char*) {}
   void record(std::uint64_t) {}
-};
-
-class MeasuredRunScope {
- public:
-  MeasuredRunScope() {}
-  MeasuredRunScope(const MeasuredRunScope&) = delete;
-  MeasuredRunScope& operator=(const MeasuredRunScope&) = delete;
-  bool exclusive() const { return true; }  // nothing is measured anyway
 };
 
 inline MetricsSnapshot snapshot_metrics() { return {}; }

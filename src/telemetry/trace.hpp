@@ -33,9 +33,9 @@
 // TraceContext) tags every span opened while it is in scope with a 64-bit
 // trace_id, exported as an "args":{"trace_id":"<hex>"} annotation. The
 // router mints an id per submit, forwards it over the JSONL protocol, and
-// the service re-establishes the context around batch planning and
-// execution — so spans from separate processes join into one causal trace
-// after `rqsim trace-merge`.
+// the service re-establishes the context around each batch's run (its
+// "runner.plan" and tree-executor spans) — so spans from separate
+// processes join into one causal trace after `rqsim trace-merge`.
 
 #include <cstddef>
 #include <cstdint>

@@ -25,8 +25,9 @@
 // check runs on the recorded stream — not on the scheduler's internal
 // state — a corrupted schedule cannot vouch for itself.
 //
-// Execution entry points (run_noisy, execute_batch) run the tree-plan pass
-// before touching amplitudes when NoisyRunConfig::verify_plans is set; the
+// The one execution entry point (run_noisy_batch, and run_noisy through it)
+// runs the tree-plan pass over the merged trial list before touching
+// amplitudes when any job sets NoisyRunConfig::verify_plans; the
 // `rqsim verify` CLI verb runs it standalone and prints the artifacts.
 #pragma once
 

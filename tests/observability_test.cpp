@@ -2,7 +2,7 @@
 // distributed-trace ids and retroactive complete events, multi-process
 // trace merging with clock-skew correction, Prometheus text exposition —
 // and the fleet acceptance test: jobs submitted through a 2-backend router
-// produce one merged trace whose router-admission, queue-wait, batch-plan
+// produce one merged trace whose router-admission, queue-wait, planning
 // and tree-executor spans share the submitting job's trace_id, with the
 // same trace_ids surfacing as SLO exemplars in `stats` JSON and
 // `stats --prom` output.
@@ -447,7 +447,7 @@ TEST(ObservabilityE2E, FleetTraceLinksSpansAndSloCarriesExemplars) {
   }
 
   // Collect and merge: three processes (router + 2 backends), and the
-  // admission → queue wait → batch plan → tree-executor chain all tagged
+  // admission → queue wait → plan → tree-executor chain all tagged
   // with job A's trace id.
   const Json collected = router.handle(trace_op("collect"));
   ASSERT_TRUE(collected.at("ok").as_bool()) << collected.dump();
@@ -470,7 +470,7 @@ TEST(ObservabilityE2E, FleetTraceLinksSpansAndSloCarriesExemplars) {
   EXPECT_EQ(named_pids.size(), 3u);
   EXPECT_TRUE(linked_spans.count("router.admit")) << merged.dump();
   EXPECT_TRUE(linked_spans.count("service.queue_wait")) << merged.dump();
-  EXPECT_TRUE(linked_spans.count("service.batch_plan")) << merged.dump();
+  EXPECT_TRUE(linked_spans.count("runner.plan")) << merged.dump();
   EXPECT_TRUE(linked_spans.count("tree_exec.task")) << merged.dump();
 
   // SLO: per-tenant p99 histograms and exemplar trace_ids in the stats

@@ -79,8 +79,8 @@ TEST(PlanVerifier, AcceptsBenchSuiteSchedulesExactly) {
 }
 
 TEST(PlanVerifier, AcceptsMergedBatchStyleTrialLists) {
-  // execute_batch concatenates per-job reordered lists and re-sorts into
-  // one order; the merged list must prove clean like any single-run list.
+  // run_noisy_batch merges per-job reordered lists into one reorder order;
+  // the merged list must prove clean like any single-run list.
   Workload a(4, 0.05, 1500, 1);
   Workload b(4, 0.05, 1000, 2);
   std::vector<Trial> merged = a.trials;
@@ -94,9 +94,9 @@ TEST(PlanVerifier, AcceptsMergedBatchStyleTrialLists) {
 }
 
 TEST(PlanVerifier, ExecuteBatchVerifiesMergedSchedule) {
-  // Two compatible jobs with verify_plans set: the service's batch planner
-  // must verify the *merged* trial list before executing it, and still
-  // complete both jobs.
+  // Two compatible jobs with verify_plans set: the service's merged run
+  // (run_noisy_batch) must verify the *merged* trial list before executing
+  // it, and still complete both jobs.
   SimService service({.num_workers = 0});
   std::vector<std::uint64_t> ids;
   for (const std::uint64_t seed : {1u, 2u}) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "sched/tree.hpp"
@@ -27,6 +28,13 @@ class RecordingSink : public TreeTrialSink {
     for (std::size_t t = first_trial; t < first_trial + count; ++t) {
       states[t] = state;
     }
+  }
+
+  /// Frame-collapsed trials never own a statevector; run_recorded builds
+  /// trees without frame collapse, so reaching here is a test bug.
+  void on_finish_frames(std::size_t, const std::vector<FrameTrial>&, const StateVector&,
+                        const std::vector<double>*) override {
+    throw std::logic_error("RecordingSink: frame-collapsed trials have no state");
   }
 
   std::vector<StateVector> states;  // indexed like the trial list

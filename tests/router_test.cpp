@@ -113,6 +113,19 @@ TEST(AffinityKey, IgnoresTenantSeedTrialsButNotWorkload) {
   EXPECT_NE(alice, workload_affinity_key(baseline));  // mode is part of the class
 }
 
+TEST(AffinityKey, FollowsTheMergeRuleForThreadsAndFrames) {
+  // Thread counts merge freely (the merged tree runs on the largest one);
+  // frame collapse must match between merged jobs.
+  Json one_thread = fleet_submit(400, 1, "alice");
+  Json four_threads = fleet_submit(400, 1, "bob");
+  four_threads.set("threads", Json(std::uint64_t{4}));
+  EXPECT_EQ(workload_affinity_key(one_thread), workload_affinity_key(four_threads));
+
+  Json framed = fleet_submit(400, 1, "alice");
+  framed.set("frames", Json(true));
+  EXPECT_NE(workload_affinity_key(one_thread), workload_affinity_key(framed));
+}
+
 // ---------------------------------------------------------------------------
 // Admission controller.
 // ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@
 //   - the histogram (outcome, count pairs in outcome order) of every cell;
 //   - the observable means of every unfused cell.
 //
+// Every unfused cell also runs as the first job of a run_noisy_batch merge
+// with an unrelated job (another seed, trial count and observable list) and
+// must reproduce the same hashes, while the other job reproduces its own
+// standalone run: merging never changes a job's bits.
+//
 // Fused observable means are not pinned: their last bits depend on how the
 // compiler contracts the fusion engine's matrix arithmetic, which sanitizer
 // instrumentation changes, and the budget changes which layer segments a
@@ -107,6 +112,17 @@ TEST(RunGolden, Table1SuiteReproducesRecordedHashesInEveryCell) {
           // Fused means: the first cell of this budget is the reference.
           std::optional<std::uint64_t> fused_means;
           for (const bool frames : {false, true}) {
+            // The other job of this budget's merged cells, and its results
+            // when it runs alone.
+            NoisyRunConfig unrelated;
+            unrelated.num_trials = 170;
+            unrelated.seed = 7;
+            unrelated.max_states = max_states;
+            unrelated.frame_collapse = frames;
+            unrelated.verify_plans = true;
+            unrelated.observables = {PauliString::from_label("XIIZI")};
+            const NoisyRunResult unrelated_alone =
+                run_noisy(suite[i].compiled, dev.noise, unrelated);
             for (const std::size_t threads : {1u, 2u, 8u}) {
               NoisyRunConfig config;
               config.num_trials = 300;
@@ -133,6 +149,27 @@ TEST(RunGolden, Table1SuiteReproducesRecordedHashesInEveryCell) {
                   << " threads=" << threads;
               EXPECT_EQ(means, expected_means)
                   << row.name << " fuse=" << fuse << " observables=" << observed
+                  << " max_states=" << max_states << " frames=" << frames
+                  << " threads=" << threads;
+              if (fuse) {
+                continue;
+              }
+              const NoisyBatchResult merged =
+                  run_noisy_batch(suite[i].compiled, dev.noise, {&config, &unrelated});
+              EXPECT_EQ(hash_histogram(merged.per_job[0].histogram), row.histogram)
+                  << row.name << " merged observables=" << observed
+                  << " max_states=" << max_states << " frames=" << frames
+                  << " threads=" << threads;
+              EXPECT_EQ(hash_means(merged.per_job[0].observable_means), expected_means)
+                  << row.name << " merged observables=" << observed
+                  << " max_states=" << max_states << " frames=" << frames
+                  << " threads=" << threads;
+              EXPECT_EQ(merged.per_job[1].histogram, unrelated_alone.histogram)
+                  << row.name << " merged other job, observables=" << observed
+                  << " max_states=" << max_states << " frames=" << frames
+                  << " threads=" << threads;
+              EXPECT_EQ(merged.per_job[1].observable_means, unrelated_alone.observable_means)
+                  << row.name << " merged other job, observables=" << observed
                   << " max_states=" << max_states << " frames=" << frames
                   << " threads=" << threads;
             }

@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "noise/noise_model.hpp"
 #include "obs/pauli_string.hpp"
-#include "service/batch.hpp"
 #include "service/job.hpp"
 #include "service/service.hpp"
 #include "transpile/decompose.hpp"
@@ -24,6 +23,17 @@ JobSpec make_spec(std::size_t trials = 2000, std::uint64_t seed = 7,
   spec.noise = NoiseModel::uniform(qubits, 0.01, 0.04, 0.02);
   spec.config.num_trials = trials;
   spec.config.seed = seed;
+  return spec;
+}
+
+// GHZ is Clifford, so with `frames` most errors collapse into frames.
+JobSpec make_ghz_spec(std::size_t trials, std::uint64_t seed, bool frames) {
+  JobSpec spec;
+  spec.circuit = decompose_to_cx_basis(make_ghz(4));
+  spec.noise = NoiseModel::uniform(4, 0.03, 0.1, 0.02);
+  spec.config.num_trials = trials;
+  spec.config.seed = seed;
+  spec.config.frame_collapse = frames;
   return spec;
 }
 
@@ -170,49 +180,112 @@ TEST(ServiceBatch, MaxBatchJobsCapsTheMerge) {
   EXPECT_EQ(service.result(ids[2])->batch_size, 1u);
 }
 
-TEST(ServiceBatch, FrameJobsRunUnmergedAndCollapse) {
-  // The merged schedule is never frame-collapsed, so framed jobs must not
-  // merge: two otherwise compatible `frames` jobs waiting in the queue (as
-  // behind a busy worker) each run alone, collapse, and reproduce run_noisy.
-  JobSpec first;
-  first.circuit = decompose_to_cx_basis(make_ghz(4));
-  first.noise = NoiseModel::uniform(4, 0.03, 0.1, 0.02);
-  first.config.num_trials = 1500;
-  first.config.seed = 21;
-  first.config.frame_collapse = true;
-  JobSpec second = first;
-  second.config.seed = 22;
+TEST(ServiceBatch, FrameJobsMergeAndCollapse) {
+  // Framed jobs merge with each other: two `frames` jobs waiting in the
+  // queue (as behind a busy worker) run as one frame-collapsed tree, and
+  // each reproduces its standalone run_noisy bitwise. The first job
+  // observes nothing, yet the merged tree must still keep X frames
+  // uncollapsed for the second job's observables; XXXX anticommutes with
+  // Z frames, so collapsed trials flip its sign.
+  JobSpec first = make_ghz_spec(1500, 21, /*frames=*/true);
+  JobSpec second = make_ghz_spec(1100, 22, /*frames=*/true);
+  second.config.observables = {PauliString::from_label("IZZI"),
+                               PauliString::from_label("XXXX")};
 
   SimService service(manual_config());
   const std::uint64_t ids[] = {service.submit(first), service.submit(second)};
   EXPECT_EQ(service.run_pending(), 2u);
-  EXPECT_EQ(service.stats().merged_batches, 0u);
+  EXPECT_EQ(service.stats().merged_batches, 1u);
   for (const JobSpec* spec : {&first, &second}) {
     const JobResult result = *service.result(ids[spec == &first ? 0 : 1]);
     ASSERT_EQ(result.state, JobState::kDone);
-    EXPECT_EQ(result.batch_size, 1u);
+    EXPECT_EQ(result.batch_size, 2u);
     EXPECT_GT(result.run.telemetry.frame_collapsed_trials, 0u);
     const NoisyRunResult solo = run_noisy(spec->circuit, spec->noise, spec->config);
+    EXPECT_GT(solo.telemetry.frame_collapsed_trials, 0u);
     EXPECT_EQ(result.run.histogram, solo.histogram);
-    EXPECT_EQ(result.run.ops, solo.ops);
+    EXPECT_EQ(result.run.observable_means, solo.observable_means);
+    EXPECT_EQ(result.solo_ops, solo.ops);
   }
 }
 
-TEST(ServiceBatch, ExecuteBatchAttributionSumsExactly) {
-  const JobSpec a = make_spec(900, 5);
-  const JobSpec b = make_spec(700, 6);
-  const JobSpec c = make_spec(1100, 7);
-  const BatchExecution batch = execute_batch({&a, &b, &c});
-  ASSERT_EQ(batch.per_job.size(), 3u);
-  ASSERT_EQ(batch.solo_ops.size(), 3u);
+TEST(ServiceBatch, MixedThreadCountsMergeAndStayBitwiseExact) {
+  // Thread counts need not match: the merged tree runs on the largest one
+  // and is bitwise identical at every count.
+  JobSpec one = make_spec(1500, 31);
+  one.config.observables = {PauliString::from_label("ZZII")};
+  JobSpec four = make_spec(900, 32);
+  four.config.num_threads = 4;
+  four.config.observables = {PauliString::from_label("IXXI")};
+
+  SimService service(manual_config());
+  const std::uint64_t ids[] = {service.submit(one), service.submit(four)};
+  EXPECT_EQ(service.run_pending(), 2u);
+  EXPECT_EQ(service.stats().merged_batches, 1u);
   opcount_t attributed = 0;
-  opcount_t solo_total = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    attributed += batch.per_job[i].ops;
-    solo_total += batch.solo_ops[i];
+  for (const JobSpec* spec : {&one, &four}) {
+    const JobResult result = *service.result(ids[spec == &one ? 0 : 1]);
+    ASSERT_EQ(result.state, JobState::kDone);
+    EXPECT_EQ(result.batch_size, 2u);
+    const NoisyRunResult solo = run_noisy(spec->circuit, spec->noise, spec->config);
+    EXPECT_EQ(result.run.histogram, solo.histogram);
+    EXPECT_EQ(result.run.observable_means, solo.observable_means);
+    EXPECT_EQ(result.solo_ops, solo.ops);
+    // Every merged job reports its own run-scoped numbers.
+    EXPECT_TRUE(result.run.telemetry.measured);
+    EXPECT_EQ(result.run.telemetry.measured_ops, result.run.ops);
+    EXPECT_GT(result.run.telemetry.wall_ms, 0.0);
+    attributed += result.run.ops;
   }
-  EXPECT_EQ(attributed, batch.batch_ops);
-  EXPECT_LT(batch.batch_ops, solo_total);
+  EXPECT_EQ(attributed, service.result(ids[0])->batch_ops);
+}
+
+TEST(ServiceBatch, RunNoisyBatchAttributionSumsExactly) {
+  for (const bool frames : {false, true}) {
+    const std::vector<JobSpec> specs = {make_ghz_spec(900, 5, frames),
+                                        make_ghz_spec(700, 6, frames),
+                                        make_ghz_spec(1100, 7, frames)};
+    std::vector<const NoisyRunConfig*> configs;
+    for (const JobSpec& spec : specs) {
+      configs.push_back(&spec.config);
+    }
+    const NoisyBatchResult batch =
+        run_noisy_batch(specs.front().circuit, specs.front().noise, configs);
+    ASSERT_EQ(batch.per_job.size(), 3u);
+    ASSERT_EQ(batch.solo_ops.size(), 3u);
+    opcount_t attributed = 0;
+    opcount_t solo_total = 0;
+    for (std::size_t i = 0; i < 3; ++i) {
+      attributed += batch.per_job[i].ops;
+      solo_total += batch.solo_ops[i];
+      // A job's solo cost is exactly what it executes alone.
+      const NoisyRunResult solo =
+          run_noisy(specs[i].circuit, specs[i].noise, specs[i].config);
+      EXPECT_EQ(batch.solo_ops[i], solo.ops) << "frames=" << frames << " job " << i;
+      EXPECT_EQ(batch.per_job[i].histogram, solo.histogram)
+          << "frames=" << frames << " job " << i;
+      EXPECT_EQ(solo.telemetry.frame_collapsed_trials > 0, frames) << "job " << i;
+    }
+    EXPECT_EQ(attributed, batch.batch_ops) << "frames=" << frames;
+    EXPECT_LT(batch.batch_ops, solo_total) << "frames=" << frames;
+  }
+}
+
+TEST(ServiceBatch, RunNoisyBatchRejectsMismatchedJobs) {
+  const JobSpec a = make_spec(300, 1);
+  JobSpec b = make_spec(300, 2);
+  b.config.max_states = 2;  // one tree has one MSV budget
+  EXPECT_THROW(run_noisy_batch(a.circuit, a.noise, {&a.config, &b.config}), Error);
+  b = make_spec(300, 2);
+  b.config.frame_collapse = true;
+  EXPECT_THROW(run_noisy_batch(a.circuit, a.noise, {&a.config, &b.config}), Error);
+  JobSpec baseline = make_spec(300, 3);
+  baseline.config.mode = ExecutionMode::kBaseline;
+  JobSpec baseline2 = baseline;
+  EXPECT_THROW(
+      run_noisy_batch(a.circuit, a.noise, {&baseline.config, &baseline2.config}),
+      Error);
+  EXPECT_THROW(run_noisy_batch(a.circuit, a.noise, {}), Error);
 }
 
 // ---------------------------------------------------------------------------

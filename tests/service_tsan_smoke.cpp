@@ -10,7 +10,11 @@
 //      several client threads against a live worker pool, plus a shutdown
 //      that races both the destructor and in-flight submissions (the
 //      historical double-join deadlock path).
-//   2. Concurrent parallel runs — two run_noisy calls, each with its own
+//   2. Concurrent merged batches — two service workers each run a merged
+//      prefix tree at once (framed jobs on one, two-thread jobs on the
+//      other), so the shared sink's per-job slots and each job's run-scoped
+//      telemetry are written from several threads.
+//   3. Concurrent parallel runs — two run_noisy calls, each with its own
 //      tree-executor workers applying gates at the same time.
 //
 // Under the `tsan` preset the whole tree is instrumented; in the tier-1
@@ -21,8 +25,10 @@
 #include <thread>
 #include <vector>
 
+#include "bench_circuits/ghz.hpp"
 #include "bench_circuits/qft.hpp"
 #include "noise/noise_model.hpp"
+#include "obs/pauli_string.hpp"
 #include "sched/runner.hpp"
 #include "service/service.hpp"
 #include "transpile/decompose.hpp"
@@ -113,6 +119,51 @@ void stress_shutdown_race() {
   }
 }
 
+// Two workers drain merged batches concurrently. Each worker first claims
+// a long blocker job (a baseline run, never batch-compatible); the framed
+// and two-thread jobs queued behind them merge into one batch per class,
+// and the two batches run at the same time.
+void stress_concurrent_merged_batches() {
+  rqsim::SimService service({.num_workers = 2, .queue_capacity = 64,
+                             .max_batch_jobs = 8});
+  std::uint64_t blockers[2];
+  for (std::uint64_t& blocker : blockers) {
+    rqsim::JobSpec spec = make_spec(4000, 7);
+    spec.config.mode = rqsim::ExecutionMode::kBaseline;
+    blocker = service.submit(spec);
+  }
+  for (const std::uint64_t blocker : blockers) {
+    while (service.poll(blocker)->state == rqsim::JobState::kQueued) {
+      std::this_thread::yield();
+    }
+  }
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    rqsim::JobSpec framed = make_spec(80 + 10 * i, 200 + i);
+    framed.circuit = rqsim::decompose_to_cx_basis(rqsim::make_ghz(4));  // Clifford
+    framed.config.frame_collapse = true;
+    framed.config.observables = {rqsim::PauliString::from_label("ZZII")};
+    ids.push_back(service.submit(framed));
+    rqsim::JobSpec threaded = make_spec(60 + 10 * i, 300 + i);
+    threaded.config.num_threads = 2;
+    threaded.config.observables = {rqsim::PauliString::from_label("IXXI")};
+    ids.push_back(service.submit(threaded));
+  }
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    const rqsim::JobResult result = service.wait(ids[j]);
+    SMOKE_CHECK(result.state == rqsim::JobState::kDone);
+    SMOKE_CHECK(result.run.telemetry.measured);
+    SMOKE_CHECK(result.run.telemetry.measured_ops == result.run.ops);
+    if (j % 2 == 0) {
+      SMOKE_CHECK(result.run.telemetry.frame_collapsed_trials > 0);
+    }
+  }
+  for (const std::uint64_t blocker : blockers) {
+    SMOKE_CHECK(service.wait(blocker).state == rqsim::JobState::kDone);
+  }
+  SMOKE_CHECK(service.stats().merged_batches >= 1);
+}
+
 // Two parallel runs at once, each with its own tree-executor workers.
 void stress_parallel_runs() {
   const rqsim::Circuit circuit = rqsim::decompose_to_cx_basis(rqsim::make_qft(6));
@@ -138,6 +189,7 @@ void stress_parallel_runs() {
 int main() {
   stress_submit_cancel();
   stress_shutdown_race();
+  stress_concurrent_merged_batches();
   stress_parallel_runs();
   if (failures == 0) {
     std::printf("service_tsan_smoke: all checks passed\n");

@@ -264,25 +264,6 @@ TEST(TelemetryTrace, ExportEscapesAndSurvivesLongEventNames) {
   EXPECT_NE(json.find(long_name), std::string::npos);
 }
 
-TEST(TelemetryRegistry, MeasuredRunScopeDetectsOverlap) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
-  {
-    telem::MeasuredRunScope a;
-    EXPECT_TRUE(a.exclusive());
-    {
-      telem::MeasuredRunScope b;
-      EXPECT_FALSE(a.exclusive());
-      EXPECT_FALSE(b.exclusive());
-    }
-    // Overlap is sticky for the rest of a's lifetime.
-    EXPECT_FALSE(a.exclusive());
-  }
-  telem::MeasuredRunScope fresh;
-  EXPECT_TRUE(fresh.exclusive());
-}
-
 // ---------------------------------------------------------------------------
 // Reconciliation: registry counter == executed ops == PlanVerifier proof.
 
@@ -319,10 +300,14 @@ TEST(TelemetryReconciliation, CounterMatchesProofAndResultOnTableOneSuite) {
     config.num_trials = kTrials;
     config.seed = kSeed;
     config.mode = ExecutionMode::kCachedReordered;
+    const std::uint64_t counter_before = telem::counter_value("sim.matvec_ops");
     const NoisyRunResult result = run_noisy(entry.compiled, dev.noise, config);
+    const std::uint64_t counter_delta =
+        telem::counter_value("sim.matvec_ops") - counter_before;
 
     EXPECT_TRUE(result.telemetry.measured) << entry.name;
     EXPECT_EQ(result.ops, proof.cached_ops) << entry.name;
+    EXPECT_EQ(counter_delta, result.ops) << entry.name;
     EXPECT_EQ(result.telemetry.measured_ops, result.ops) << entry.name;
     EXPECT_EQ(result.telemetry.ops_saved_vs_baseline,
               result.baseline_ops - result.ops)
@@ -350,13 +335,17 @@ TEST(TelemetryReconciliation, ParallelTreeCounterMatchesAtOneTwoEightThreads) {
       config.num_trials = kTrials;
       config.seed = kSeed;
       config.num_threads = threads;
+      const std::uint64_t counter_before = telem::counter_value("sim.matvec_ops");
       const NoisyRunResult result = run_noisy(entry.compiled, dev.noise, config);
+      const std::uint64_t counter_delta =
+          telem::counter_value("sim.matvec_ops") - counter_before;
       EXPECT_TRUE(result.telemetry.measured) << entry.name;
       // The tree executes the sequential cached schedule's op count exactly
       // (zero redundant prefix work), the runtime counter measures the same
       // total, and both equal the static proof.
       EXPECT_EQ(result.ops, proof.cached_ops)
           << entry.name << " threads=" << threads;
+      EXPECT_EQ(counter_delta, result.ops) << entry.name << " threads=" << threads;
       EXPECT_EQ(result.telemetry.measured_ops, result.ops)
           << entry.name << " threads=" << threads;
     }
@@ -374,7 +363,9 @@ TEST(TelemetryReconciliation, BaselineModeCounterMatchesBaselineOps) {
   config.num_trials = 200;
   config.seed = 3;
   config.mode = ExecutionMode::kBaseline;
+  const std::uint64_t counter_before = telem::counter_value("sim.matvec_ops");
   const NoisyRunResult result = run_noisy(entry.compiled, dev.noise, config);
+  EXPECT_EQ(telem::counter_value("sim.matvec_ops") - counter_before, result.ops);
   EXPECT_EQ(result.telemetry.measured_ops, result.ops);
   EXPECT_EQ(result.ops, result.baseline_ops);
   EXPECT_EQ(result.telemetry.ops_saved_vs_baseline, 0u);

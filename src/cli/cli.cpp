@@ -25,13 +25,11 @@
 #include "sched/runner.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
-#include "sched/order.hpp"
 #include "telemetry/clock.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 #include "transpile/decompose.hpp"
 #include "transpile/transpiler.hpp"
-#include "trial/generator.hpp"
 #include "verify/plan_verifier.hpp"
 
 namespace rqsim {
@@ -399,34 +397,21 @@ int cmd_enumerate(const std::vector<std::string>& args, std::ostream& out) {
   return 0;
 }
 
-// Static schedule verification: generate the trial set exactly as `run`
-// would, record the reorder schedule without executing it, prove the
-// invariants (reorder order, checkpoint stack discipline, MSV bound,
-// op-count telescoping) and print the proof artifacts.
+// Static schedule verification: generate, order and build the prefix tree
+// exactly as `run` would with the same flags (--frames and --max-states
+// included), prove it without executing it, and print the proof artifacts.
 int cmd_verify(const std::vector<std::string>& args, std::ostream& out) {
   const CliOptions options = parse_options(args, 2);
   const Circuit logical = load_circuit(options);
   const DeviceModel dev = load_device(options, logical.num_qubits());
   const Circuit circuit = prepare_circuit(logical, dev, options, out);
-  RQSIM_CHECK(dev.noise.num_qubits() >= circuit.num_qubits(),
-              "verify: noise model covers fewer qubits than the circuit");
 
   NoisyRunConfig config;
   config.num_trials = options.trials;
   config.seed = options.seed;
   config.max_states = options.max_states;
-  validate_run_limits(config, "verify");
-
-  const CircuitContext ctx(circuit);
-  Rng rng(config.seed);
-  std::vector<Trial> trials =
-      generate_trials(circuit, ctx.layering, dev.noise, config.num_trials, rng);
-  reorder_trials(trials);
-
-  ScheduleOptions sched_options;
-  sched_options.max_states = config.max_states;
-  const PlanVerifier verifier(ctx, sched_options);
-  const PlanProof proof = verifier.verify_schedule(trials);
+  config.frame_collapse = options.frames;
+  const PlanProof proof = prove_noisy(circuit, dev.noise, config);
   out << format_proof(proof);
   return proof.ok ? 0 : 1;
 }
@@ -998,7 +983,7 @@ void print_usage(std::ostream& out) {
          "  run        noisy Monte Carlo simulation (statevector)\n"
          "  analyze    op/MSV accounting only (any qubit count)\n"
          "  enumerate  exact truncated error-configuration enumeration\n"
-         "  verify     statically prove a reorder schedule's invariants\n"
+         "  verify     statically prove the prefix tree `run` executes\n"
          "  transpile  compile a circuit onto a device, print QASM\n"
          "  suite      show the built-in benchmark suite\n"
          "  serve      run the simulation service (JSONL over a socket)\n"

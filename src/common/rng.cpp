@@ -6,14 +6,6 @@
 
 namespace rqsim {
 
-namespace {
-
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& word : s_) {
@@ -24,23 +16,6 @@ Rng::Rng(std::uint64_t seed) {
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) {
     s_[0] = 0x9e3779b97f4a7c15ULL;
   }
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random bits scaled into [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -63,11 +38,6 @@ std::uint64_t Rng::uniform_int(std::uint64_t n) {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-bool Rng::bernoulli(double p) {
-  RQSIM_CHECK(p >= 0.0 && p <= 1.0, "bernoulli: p must be in [0, 1]");
-  return uniform() < p;
 }
 
 std::size_t Rng::discrete(const std::vector<double>& weights) {

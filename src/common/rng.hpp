@@ -38,7 +38,8 @@ class Rng {
 
   explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bULL);
 
-  /// Raw 64 random bits.
+  /// Raw 64 random bits. (The hot sampling calls are defined inline below:
+  /// trial generation draws several per trial.)
   std::uint64_t next_u64();
 
   /// Satisfy UniformRandomBitGenerator so Rng works with std algorithms.
@@ -72,5 +73,28 @@ class Rng {
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+inline std::uint64_t Rng::next_u64() {
+  const auto rotl = [](std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); };
+  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::uniform() {
+  // 53 random bits scaled into [0, 1).
+  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::bernoulli(double p) {
+  RQSIM_CHECK(p >= 0.0 && p <= 1.0, "bernoulli: p must be in [0, 1]");
+  return uniform() < p;
+}
 
 }  // namespace rqsim

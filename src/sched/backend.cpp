@@ -32,7 +32,7 @@ void CountBackend::on_error(std::size_t depth, const ErrorEvent& event) {
 }
 
 void CountBackend::on_finish(std::size_t depth, trial_index_t trial_index,
-                             const Trial& trial) {
+                             const TrialView& trial) {
   (void)depth;
   (void)trial_index;
   (void)trial;
@@ -127,7 +127,7 @@ void TraceBackend::on_error(std::size_t depth, const ErrorEvent& event) {
 }
 
 void TraceBackend::on_finish(std::size_t depth, trial_index_t trial_index,
-                             const Trial& trial) {
+                             const TrialView& trial) {
   (void)trial;
   RQSIM_CHECK(trial_index < traces_.size(), "TraceBackend: trial index out of range");
   RQSIM_CHECK(!trace_set_[trial_index], "TraceBackend: trial finished twice");
@@ -141,7 +141,7 @@ void TraceBackend::on_drop(std::size_t depth) {
   stack_.pop_back();
 }
 
-std::vector<TraceOp> expected_trace(const CircuitContext& ctx, const Trial& trial) {
+std::vector<TraceOp> expected_trace(const CircuitContext& ctx, const TrialView& trial) {
   std::vector<TraceOp> out;
   std::size_t next_event = 0;
   for (layer_index_t l = 0; l < ctx.num_layers(); ++l) {

@@ -43,7 +43,7 @@ class CountBackend : public ScheduleVisitor {
   void on_fork(std::size_t depth) override;
   void on_error(std::size_t depth, const ErrorEvent& event) override;
   void on_finish(std::size_t depth, trial_index_t trial_index,
-                 const Trial& trial) override;
+                 const TrialView& trial) override;
   void on_drop(std::size_t depth) override;
 
   /// Matrix-vector operations performed (gates + injected errors).
@@ -93,7 +93,7 @@ class TraceBackend : public ScheduleVisitor {
   void on_fork(std::size_t depth) override;
   void on_error(std::size_t depth, const ErrorEvent& event) override;
   void on_finish(std::size_t depth, trial_index_t trial_index,
-                 const Trial& trial) override;
+                 const TrialView& trial) override;
   void on_drop(std::size_t depth) override;
 
   const std::vector<std::vector<TraceOp>>& traces() const { return traces_; }
@@ -107,6 +107,6 @@ class TraceBackend : public ScheduleVisitor {
 
 /// The operator sequence a trial is *defined* to experience: layers in
 /// order, each layer's gates followed by that layer's error events.
-std::vector<TraceOp> expected_trace(const CircuitContext& ctx, const Trial& trial);
+std::vector<TraceOp> expected_trace(const CircuitContext& ctx, const TrialView& trial);
 
 }  // namespace rqsim

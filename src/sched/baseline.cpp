@@ -16,7 +16,7 @@ telemetry::Counter g_matvec_ops("sim.matvec_ops");
 
 // Fused variant: advance through the error-free layer segments between
 // consecutive error positions with fused programs.
-StateVector simulate_trial_fused(const CircuitContext& ctx, const Trial& trial,
+StateVector simulate_trial_fused(const CircuitContext& ctx, const TrialView& trial,
                                  FusionCache& fusion) {
   StateVector state(ctx.circuit.num_qubits());
   const layer_index_t num_layers = static_cast<layer_index_t>(ctx.num_layers());
@@ -40,7 +40,7 @@ StateVector simulate_trial_fused(const CircuitContext& ctx, const Trial& trial,
 
 }  // namespace
 
-StateVector simulate_trial(const CircuitContext& ctx, const Trial& trial,
+StateVector simulate_trial(const CircuitContext& ctx, const TrialView& trial,
                            FusionCache* fusion) {
   if (fusion != nullptr) {
     return simulate_trial_fused(ctx, trial, *fusion);
@@ -61,7 +61,7 @@ StateVector simulate_trial(const CircuitContext& ctx, const Trial& trial,
   return state;
 }
 
-SvRunResult baseline_simulate(const CircuitContext& ctx, const std::vector<Trial>& trials,
+SvRunResult baseline_simulate(const CircuitContext& ctx, const TrialSet& trials,
                               const std::vector<PauliString>* observables,
                               bool fuse_gates) {
   SvRunResult result;
@@ -70,7 +70,7 @@ SvRunResult baseline_simulate(const CircuitContext& ctx, const std::vector<Trial
     result.observable_sums.assign(observables->size(), 0.0);
   }
   FusionCache fusion(ctx.circuit, ctx.layering);
-  for (const Trial& trial : trials) {
+  for (const TrialView trial : trials) {
     const StateVector state = simulate_trial(ctx, trial, fuse_gates ? &fusion : nullptr);
     const opcount_t trial_ops =
         ctx.total_gate_ops() + static_cast<opcount_t>(trial.num_errors());

@@ -21,7 +21,7 @@ namespace rqsim {
 /// Simulate one trial from |0…0⟩; returns the pre-measurement final state.
 /// With `fusion`, the error-free layer segments between the trial's error
 /// events run through the gate-fusion engine (epsilon-equivalent).
-StateVector simulate_trial(const CircuitContext& ctx, const Trial& trial,
+StateVector simulate_trial(const CircuitContext& ctx, const TrialView& trial,
                            FusionCache* fusion = nullptr);
 
 /// Result of a baseline run.
@@ -41,7 +41,7 @@ struct SvRunResult {
 /// cached run of the same trials. `observables` (optional, borrowed) are
 /// evaluated on every trial's final state and accumulated into
 /// observable_sums in trial order.
-SvRunResult baseline_simulate(const CircuitContext& ctx, const std::vector<Trial>& trials,
+SvRunResult baseline_simulate(const CircuitContext& ctx, const TrialSet& trials,
                               const std::vector<PauliString>* observables = nullptr,
                               bool fuse_gates = false);
 

@@ -5,16 +5,16 @@
 namespace rqsim {
 
 ConsecutiveCacheResult consecutive_cached_count(const CircuitContext& ctx,
-                                                const std::vector<Trial>& trials) {
+                                                const TrialSet& trials) {
   ConsecutiveCacheResult result;
   if (trials.empty()) {
     return result;
   }
   result.max_live_states = 1;
-  const Trial* prev = nullptr;
+  TrialView prev;
   const auto num_layers = static_cast<layer_index_t>(ctx.num_layers());
-  for (const Trial& trial : trials) {
-    const std::size_t shared = prev ? shared_prefix_length(*prev, trial) : 0;
+  for (const TrialView trial : trials) {
+    const std::size_t shared = shared_prefix_length(prev, trial);
     // Checkpoint k (k >= 1) holds the state right after event k, advanced
     // through that event's layer; checkpoint 0 is the initial state.
     const layer_index_t frontier =
@@ -25,7 +25,7 @@ ConsecutiveCacheResult consecutive_cached_count(const CircuitContext& ctx,
     // initial state (all may be needed by the next trial).
     result.max_live_states =
         std::max(result.max_live_states, trial.events.size() + 1);
-    prev = &trial;
+    prev = trial;
   }
   return result;
 }

@@ -25,6 +25,6 @@ struct ConsecutiveCacheResult {
 /// Account the cost of consecutive-prefix caching over `trials` in the
 /// given order (no statevectors touched).
 ConsecutiveCacheResult consecutive_cached_count(const CircuitContext& ctx,
-                                                const std::vector<Trial>& trials);
+                                                const TrialSet& trials);
 
 }  // namespace rqsim

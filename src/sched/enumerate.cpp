@@ -162,7 +162,7 @@ class WeightedDistBackend : public ScheduleVisitor {
   }
 
   void on_finish(std::size_t depth, trial_index_t trial_index,
-                 const Trial& trial) override {
+                 const TrialView& trial) override {
     (void)trial;
     if (!cached_probs_) {
       cached_probs_ =
@@ -230,10 +230,11 @@ TruncatedDistribution truncated_exact_distribution(const Circuit& circuit,
   result.covered_mass = set.covered_mass;
   result.num_configurations = set.trials.size();
   result.probabilities.assign(std::size_t{1} << circuit.num_measured(), 0.0);
-  result.baseline_ops = baseline_op_count(ctx, set.trials);
+  const TrialSet trials(set.trials);
+  result.baseline_ops = baseline_op_count(ctx, trials);
 
   WeightedDistBackend backend(ctx, set.probabilities, result);
-  schedule_trials(ctx, set.trials, backend);
+  schedule_trials(ctx, trials, backend);
 
   // Analytic measurement-flip channel on the accumulated distribution.
   std::vector<double> flips(circuit.num_measured());

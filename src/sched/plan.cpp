@@ -23,7 +23,7 @@ namespace {
 
 class ScheduleWalker {
  public:
-  ScheduleWalker(const CircuitContext& ctx, const std::vector<Trial>& trials,
+  ScheduleWalker(const CircuitContext& ctx, const TrialSet& trials,
                  ScheduleVisitor& visitor, const ScheduleOptions& options)
       : ctx_(ctx), trials_(trials), visitor_(visitor), options_(options) {}
 
@@ -99,7 +99,7 @@ class ScheduleWalker {
   // checkpoint, sharing nothing with its group (the MSV-budget fallback).
   void replay_trial(std::size_t t, std::size_t event_depth, std::size_t depth,
                     layer_index_t frontier) {
-    const Trial& trial = trials_[t];
+    const TrialView trial = trials_[t];
     visitor_.on_fork(depth);
     layer_index_t f = frontier;
     for (std::size_t k = event_depth; k < trial.events.size(); ++k) {
@@ -120,14 +120,14 @@ class ScheduleWalker {
   }
 
   const CircuitContext& ctx_;
-  const std::vector<Trial>& trials_;
+  const TrialSet& trials_;
   ScheduleVisitor& visitor_;
   const ScheduleOptions& options_;
 };
 
 }  // namespace
 
-void schedule_trials(const CircuitContext& ctx, const std::vector<Trial>& trials,
+void schedule_trials(const CircuitContext& ctx, const TrialSet& trials,
                      ScheduleVisitor& visitor, const ScheduleOptions& options) {
   RQSIM_CHECK(is_reordered(trials), "schedule_trials: trials must be reordered first");
   RQSIM_CHECK(options.max_states == 0 || options.max_states >= 2,
@@ -135,12 +135,13 @@ void schedule_trials(const CircuitContext& ctx, const std::vector<Trial>& trials
   ScheduleWalker(ctx, trials, visitor, options).run();
 }
 
+opcount_t baseline_op_count(const CircuitContext& ctx, const TrialSet& trials) {
+  return ctx.total_gate_ops() * static_cast<opcount_t>(trials.size()) +
+         static_cast<opcount_t>(trials.total_errors());
+}
+
 opcount_t baseline_op_count(const CircuitContext& ctx, const std::vector<Trial>& trials) {
-  opcount_t ops = 0;
-  for (const Trial& t : trials) {
-    ops += ctx.total_gate_ops() + static_cast<opcount_t>(t.num_errors());
-  }
-  return ops;
+  return baseline_op_count(ctx, TrialSet(trials));
 }
 
 }  // namespace rqsim

@@ -59,7 +59,7 @@ class ScheduleVisitor {
   virtual void on_fork(std::size_t depth) = 0;
   virtual void on_error(std::size_t depth, const ErrorEvent& event) = 0;
   virtual void on_finish(std::size_t depth, trial_index_t trial_index,
-                         const Trial& trial) = 0;
+                         const TrialView& trial) = 0;
   virtual void on_drop(std::size_t depth) = 0;
 };
 
@@ -90,11 +90,14 @@ struct ScheduleOptions {
 
 /// Walk `trials` (which must already be in reorder order) and emit the
 /// optimized execution to `visitor`. Throws if the list is not reordered.
-void schedule_trials(const CircuitContext& ctx, const std::vector<Trial>& trials,
+void schedule_trials(const CircuitContext& ctx, const TrialSet& trials,
                      ScheduleVisitor& visitor, const ScheduleOptions& options = {});
 
 /// Baseline op count: every trial executes the full circuit plus its own
 /// error injections, with nothing shared (paper Section V "Baseline").
+opcount_t baseline_op_count(const CircuitContext& ctx, const TrialSet& trials);
+
+/// std::vector<Trial> adapter.
 opcount_t baseline_op_count(const CircuitContext& ctx, const std::vector<Trial>& trials);
 
 }  // namespace rqsim

@@ -32,24 +32,25 @@ void validate_run_limits(const NoisyRunConfig& config, const char* context) {
 
 namespace {
 
-std::vector<Trial> make_trials(const Circuit& circuit, const CircuitContext& ctx,
-                               const NoiseModel& noise, const NoisyRunConfig& config,
-                               Rng& rng, const char* context) {
+TrialSet make_trials(const Circuit& circuit, const CircuitContext& ctx,
+                    const NoiseModel& noise, const NoisyRunConfig& config, Rng& rng,
+                    const char* context) {
   RQSIM_CHECK(noise.num_qubits() >= circuit.num_qubits(),
               std::string(context) +
                   ": noise model covers fewer qubits than the circuit");
   validate_run_limits(config, context);
-  return generate_trials(circuit, ctx.layering, noise, config.num_trials, rng);
+  return generate_trial_set(circuit, ctx.layering, noise, config.num_trials, rng);
 }
 
 /// A job's trial set with per-trial measurement seeds (assigned in
 /// generation order, before any reorder): sampling becomes independent of
 /// finish order, which makes the baseline loop and the prefix tree at any
 /// thread count and in any merge produce bitwise-identical histograms.
-std::vector<Trial> seeded_trials(const Circuit& circuit, const CircuitContext& ctx,
-                                 const NoiseModel& noise, const NoisyRunConfig& config) {
+TrialSet seeded_trials(const Circuit& circuit, const CircuitContext& ctx,
+                       const NoiseModel& noise, const NoisyRunConfig& config) {
+  RQSIM_SPAN("trials.generate");
   Rng rng(config.seed);
-  std::vector<Trial> trials = make_trials(circuit, ctx, noise, config, rng, "run_noisy");
+  TrialSet trials = make_trials(circuit, ctx, noise, config, rng, "run_noisy");
   assign_measurement_seeds(trials, rng);
   return trials;
 }
@@ -57,7 +58,7 @@ std::vector<Trial> seeded_trials(const Circuit& circuit, const CircuitContext& c
 /// Observable sums to means, plus the accounting every mode derives from
 /// the trial set and result.ops.
 void fill_common(NoisyRunResult& result, const CircuitContext& ctx,
-                 const std::vector<Trial>& trials) {
+                 const TrialSet& trials) {
   for (double& mean : result.observable_means) {
     mean /= static_cast<double>(std::max<std::size_t>(1, trials.size()));
   }
@@ -80,7 +81,7 @@ void fill_common(NoisyRunResult& result, const CircuitContext& ctx,
 /// counters from `tree`/`stats`, then the accounting of fill_common against
 /// result.ops, which the caller sets first.
 void fill_tree_result(NoisyRunResult& result, const CircuitContext& ctx,
-                      const std::vector<Trial>& trials, const ExecTree& tree,
+                      const TrialSet& trials, const ExecTree& tree,
                       const TreeExecStats& stats) {
   // Report the schedule's MSV — the deterministic bound admission control
   // enforces — rather than the timing-dependent transient peak.
@@ -114,74 +115,67 @@ ScheduleOptions tree_options(const NoisyRunConfig& config, const NoiseModel& noi
 
 /// A cached run's schedule, built (and proved) before any amplitude moves.
 struct TreePlan {
-  /// Each job's trials, seeded and reordered exactly as a standalone run.
-  std::vector<std::vector<Trial>> job_trials;
+  /// Each job's trials, seeded and in reorder order exactly as a
+  /// standalone run.
+  std::vector<TrialSet> job_trials;
 
   /// Several jobs only: the stable merge of job_trials (by job, then by
-  /// position), each merged trial's job, and each job's solo cost (its own
-  /// tree's planned_ops, exact under frame collapse too).
-  std::vector<Trial> merged;
-  std::vector<std::size_t> trial_jobs;
+  /// position) with each merged trial's job, and each job's solo cost (the
+  /// planned_ops of the tree its own pass emitted, exact under frame
+  /// collapse too).
+  MergedTrials batch;
   std::vector<opcount_t> solo_ops;
 
+  /// The options `tree` was built with.
+  ScheduleOptions options;
   ExecTree tree;
 
-  /// The trial list `tree` was built over.
-  const std::vector<Trial>& trials() const {
-    return job_trials.size() == 1 ? job_trials.front() : merged;
+  /// The trial set `tree` was built over.
+  const TrialSet& trials() const {
+    return job_trials.size() == 1 ? job_trials.front() : batch.trials;
   }
 };
 
 /// Everything before amplitudes move: each job's trial generation and
-/// reorder, the cross-job merge and solo pricing, the tree build and proof.
+/// ordering pass (which emits the job's tree), the cross-job merge, the
+/// merged tree and its proof.
 TreePlan plan_tree(const Circuit& circuit, const CircuitContext& ctx,
                    const NoiseModel& noise,
                    const std::vector<const NoisyRunConfig*>& configs) {
   RQSIM_SPAN("runner.plan");
   const std::size_t n = configs.size();
   TreePlan plan;
-  plan.job_trials.resize(n);
   bool observed = false;
   bool verify = false;
   for (std::size_t j = 0; j < n; ++j) {
-    plan.job_trials[j] = seeded_trials(circuit, ctx, noise, *configs[j]);
-    reorder_trials(plan.job_trials[j]);
-    observed = observed || !configs[j]->observables.empty();
-    verify = verify || configs[j]->verify_plans;
+    const NoisyRunConfig& config = *configs[j];
+    const bool job_observed = !config.observables.empty();
+    TrialSet generated = seeded_trials(circuit, ctx, noise, config);
+    RQSIM_SPAN("trials.reorder");
+    OrderedTrials ordered = order_trials(ctx, std::move(generated),
+                                         tree_options(config, noise, job_observed));
+    plan.job_trials.push_back(std::move(ordered.trials));
+    if (n == 1) {
+      plan.tree = std::move(ordered.tree);
+    } else {
+      plan.solo_ops.push_back(ordered.tree.planned_ops);
+    }
+    observed = observed || job_observed;
+    verify = verify || config.verify_plans;
   }
+  plan.options = tree_options(*configs.front(), noise, observed);
   if (n > 1) {
-    // Restricted to one job, the stable merge order is its standalone order
-    // — the order its observable sums are reduced in.
-    struct Origin {
-      std::size_t job;
-      std::size_t index;
-    };
-    std::vector<Origin> origins;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::vector<Trial>& trials = plan.job_trials[j];
-      for (std::size_t i = 0; i < trials.size(); ++i) {
-        origins.push_back({j, i});
-      }
-      const ScheduleOptions solo =
-          tree_options(*configs[j], noise, !configs[j]->observables.empty());
-      plan.solo_ops.push_back(build_exec_tree(ctx, trials, solo).planned_ops);
+    RQSIM_SPAN("trials.reorder");
+    std::vector<const TrialSet*> jobs;
+    for (const TrialSet& trials : plan.job_trials) {
+      jobs.push_back(&trials);
     }
-    std::stable_sort(origins.begin(), origins.end(),
-                     [&](const Origin& a, const Origin& b) {
-                       return trial_order_less(plan.job_trials[a.job][a.index],
-                                               plan.job_trials[b.job][b.index]);
-                     });
-    plan.merged.reserve(origins.size());
-    plan.trial_jobs.reserve(origins.size());
-    for (const Origin& origin : origins) {
-      plan.merged.push_back(plan.job_trials[origin.job][origin.index]);
-      plan.trial_jobs.push_back(origin.job);
-    }
+    plan.batch = merge_reordered(jobs);
+    plan.tree = build_exec_tree(ctx, plan.batch.trials, plan.options);
   }
-  const ScheduleOptions options = tree_options(*configs.front(), noise, observed);
-  plan.tree = build_exec_tree(ctx, plan.trials(), options);
   if (verify) {
-    verify_tree_plan_or_throw(ctx, plan.trials(), plan.tree, options, "run_noisy");
+    RQSIM_SPAN("plan.verify");
+    verify_tree_plan_or_throw(ctx, plan.trials(), plan.tree, plan.options, "run_noisy");
   }
   return plan;
 }
@@ -254,7 +248,7 @@ NoisyBatchResult run_noisy_batch(const Circuit& circuit, const NoiseModel& noise
   out.per_job.resize(n);
   if (lead.mode == ExecutionMode::kBaseline) {
     RQSIM_SPAN("runner.baseline_simulate");
-    const std::vector<Trial> trials = seeded_trials(circuit, ctx, noise, lead);
+    const TrialSet trials = seeded_trials(circuit, ctx, noise, lead);
     SvRunResult run = baseline_simulate(ctx, trials, &lead.observables, lead.fuse_gates);
     NoisyRunResult& result = out.per_job.front();
     result.histogram = std::move(run.histogram);
@@ -273,12 +267,13 @@ NoisyBatchResult run_noisy_batch(const Circuit& circuit, const NoiseModel& noise
       exec_config.num_threads = std::max(exec_config.num_threads, config->num_threads);
       observables.push_back(&config->observables);
     }
-    const std::vector<Trial>& trials = plan.trials();
+    const TrialSet& trials = plan.trials();
     exec_config.num_threads = std::min<std::size_t>(
         exec_config.num_threads, std::max<std::size_t>(1, trials.size()));
     exec_config.max_states = lead.max_states;
     exec_config.fuse_gates = lead.fuse_gates;
-    SampledTrialSink sink(ctx, trials, n == 1 ? nullptr : &plan.trial_jobs, observables);
+    SampledTrialSink sink(ctx, trials, n == 1 ? nullptr : &plan.batch.trial_jobs,
+                          observables);
     const TreeExecStats stats = execute_tree(ctx, plan.tree, trials, exec_config, sink);
     out.batch_ops = stats.ops;
     out.solo_ops = n == 1 ? std::vector<opcount_t>{stats.ops} : plan.solo_ops;
@@ -305,13 +300,25 @@ NoisyRunResult run_noisy(const Circuit& circuit, const NoiseModel& noise,
   return std::move(run_noisy_batch(circuit, noise, {&config}).per_job.front());
 }
 
+PlanProof prove_noisy(const Circuit& circuit, const NoiseModel& noise,
+                      const NoisyRunConfig& config) {
+  circuit.validate();
+  RQSIM_CHECK(config.mode == ExecutionMode::kCachedReordered,
+              "prove_noisy: only cached runs execute a prefix tree");
+  NoisyRunConfig unproved = config;
+  unproved.verify_plans = false;
+  validate_configs(circuit, {&unproved});
+  const CircuitContext ctx(circuit);
+  const TreePlan plan = plan_tree(circuit, ctx, noise, {&unproved});
+  return PlanVerifier(ctx, plan.options).verify_tree_plan(plan.trials(), plan.tree);
+}
+
 NoisyRunResult analyze_noisy(const Circuit& circuit, const NoiseModel& noise,
                              const NoisyRunConfig& config) {
   circuit.validate();
   CircuitContext ctx(circuit);
   Rng rng(config.seed);
-  std::vector<Trial> trials =
-      make_trials(circuit, ctx, noise, config, rng, "analyze_noisy");
+  TrialSet trials = make_trials(circuit, ctx, noise, config, rng, "analyze_noisy");
 
   NoisyRunResult result;
   switch (config.mode) {
@@ -320,7 +327,7 @@ NoisyRunResult analyze_noisy(const Circuit& circuit, const NoiseModel& noise,
       result.max_live_states = 1;
       break;
     case ExecutionMode::kCachedReordered: {
-      reorder_trials(trials);
+      trials = reorder_trials(std::move(trials));
       CountBackend backend(ctx);
       ScheduleOptions options;
       options.max_states = config.max_states;

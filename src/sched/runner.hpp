@@ -20,6 +20,7 @@
 #include "obs/pauli_string.hpp"
 #include "sched/tree_exec.hpp"
 #include "trial/stats.hpp"
+#include "verify/plan_verifier.hpp"
 
 namespace rqsim {
 
@@ -231,6 +232,13 @@ NoisyBatchResult run_noisy_batch(const Circuit& circuit, const NoiseModel& noise
 /// One-job run_noisy_batch.
 NoisyRunResult run_noisy(const Circuit& circuit, const NoiseModel& noise,
                          const NoisyRunConfig& config);
+
+/// The proof of the prefix tree a cached run_noisy of `config` executes:
+/// the same trial generation, ordering pass and tree options, proved by
+/// PlanVerifier::verify_tree_plan without executing anything (the
+/// `rqsim verify` verb). Never throws on a failed proof.
+PlanProof prove_noisy(const Circuit& circuit, const NoiseModel& noise,
+                      const NoisyRunConfig& config);
 
 /// Accounting-only execution (no amplitudes). Valid for any qubit count.
 NoisyRunResult analyze_noisy(const Circuit& circuit, const NoiseModel& noise,

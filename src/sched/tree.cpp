@@ -15,11 +15,18 @@ namespace {
 // and MSV-budget lowering to replay leaves. Any divergence between the two
 // recursions is caught by PlanVerifier::verify_tree_plan, which compares
 // the linearized tree against the walker's stream op for op.
+//
+// The builder is also Algorithm 1's recursion: unless the input is already
+// reordered, each branch first bucket-sorts its group by the next event
+// (TrialOrderer::sort_level), so sorting and tree emission are one pass.
+// Groups whose subtree is not built node by node (frame-collapsed groups,
+// and groups lowered to replays by the budget) are sorted to the end in
+// one sort_from call, so their trial indices are final when recorded.
 class TreeBuilder {
  public:
-  TreeBuilder(const CircuitContext& ctx, const std::vector<Trial>& trials,
+  TreeBuilder(const CircuitContext& ctx, TrialOrderer& orderer,
               const ScheduleOptions& options)
-      : ctx_(ctx), trials_(trials), options_(options) {
+      : ctx_(ctx), orderer_(orderer), options_(options) {
     for (const qubit_t q : ctx.circuit.measured_qubits()) {
       measured_mask_ |= std::uint64_t{1} << q;
     }
@@ -37,19 +44,21 @@ class TreeBuilder {
     }
   }
 
-  ExecTree build() {
+  /// `sorted`: the orderer's current order is already the reorder order.
+  ExecTree build(bool sorted) {
     ExecTree tree;
-    tree.num_trials = trials_.size();
-    if (trials_.empty()) {
+    const std::size_t n = orderer_.size();
+    tree.num_trials = n;
+    if (n == 0) {
       return tree;
     }
     tree_ = &tree;
     // One node per trial plus the root covers every tree whose trials do
     // not share two or more leading events, which is nearly all of them;
     // reserving it avoids reallocating the node array while it grows.
-    tree.nodes.reserve(trials_.size() + 1);
-    build_branch(kNoNode, nullptr, 0, trials_.size(), /*event_depth=*/0,
-                 /*depth=*/0, /*entry_frontier=*/0);
+    tree.nodes.reserve(n + 1);
+    build_branch(kNoNode, nullptr, 0, n, /*event_depth=*/0, /*depth=*/0,
+                 /*entry_frontier=*/0, sorted);
     tree.planned_forks = tree.nodes.size() - 1;
     tree.peak_demand = tree.nodes.front().peak_demand;
     return tree;
@@ -58,12 +67,12 @@ class TreeBuilder {
  private:
   /// Ops a replay leaf executes: advance/error alternation over the trial's
   /// remaining events, then the final advance to the end of the circuit.
-  opcount_t replay_ops(const Trial& trial, std::size_t event_depth,
+  opcount_t replay_ops(std::span<const ErrorEvent> events, std::size_t event_depth,
                        layer_index_t frontier) const {
     opcount_t ops = 0;
     layer_index_t f = frontier;
-    for (std::size_t k = event_depth; k < trial.events.size(); ++k) {
-      const layer_index_t target = trial.events[k].layer + 1;
+    for (std::size_t k = event_depth; k < events.size(); ++k) {
+      const layer_index_t target = events[k].layer + 1;
       if (target > f) {
         ops += ctx_.ops_in_layers(f, target);
         f = target;
@@ -88,7 +97,7 @@ class TreeBuilder {
     node.trial = t;
     node.peak_demand = 1;
     node.uncompute_ok = exact_suffix_[frontier];
-    node.subtree_ops = replay_ops(trials_[t], event_depth, frontier);
+    node.subtree_ops = replay_ops(orderer_.events(t), event_depth, frontier);
     tree_->planned_ops += node.subtree_ops;
     tree_->nodes.push_back(std::move(node));
     return idx;
@@ -107,7 +116,7 @@ class TreeBuilder {
     const std::size_t before = frames.size();
     for (std::size_t t = begin; t != end; ++t) {
       const FramePropagation p = propagate_frame_to_end(
-          ctx_.circuit, ctx_.layering, trials_[t], event_depth);
+          ctx_.circuit, ctx_.layering, orderer_.events(t), event_depth);
       if (!p.ok || !frame_x_confined_to(p.frame, measured_mask_) ||
           (options_.frame_observables && p.frame.x != 0)) {
         frames.resize(before);
@@ -125,10 +134,18 @@ class TreeBuilder {
 
   /// Build the kBranch node for trials [begin, end) sharing `event_depth`
   /// events (entry_event is the shared event just injected, null for the
-  /// root). Returns the node index. Matches ScheduleWalker::walk.
+  /// root). Returns the node index. Matches ScheduleWalker::walk. `sorted`:
+  /// the group is already in reorder order.
   std::size_t build_branch(std::size_t parent, const ErrorEvent* entry_event,
                            std::size_t begin, std::size_t end, std::size_t event_depth,
-                           std::size_t depth, layer_index_t entry_frontier) {
+                           std::size_t depth, layer_index_t entry_frontier,
+                           bool sorted) {
+    // Algorithm 1 at this depth: group the trials by their next event.
+    if (sorted) {
+      orderer_.load_keys(begin, end, event_depth);
+    } else {
+      orderer_.sort_level(begin, end, event_depth);
+    }
     const std::size_t idx = tree_->nodes.size();
     const opcount_t ops_before = tree_->planned_ops;
     {
@@ -151,12 +168,21 @@ class TreeBuilder {
     std::vector<FrameTrial> frame_trials;
     layer_index_t frontier = entry_frontier;
     std::size_t i = begin;
-    while (i != end && trials_[i].events.size() > event_depth) {
-      const ErrorEvent event = trials_[i].events[event_depth];
+    while (i != end && orderer_.key(i) != orderer_.exhausted()) {
+      const ErrorEvent event = orderer_.events(i)[event_depth];
       std::size_t j = i + 1;
-      while (j != end && trials_[j].events.size() > event_depth &&
-             trials_[j].events[event_depth] == event) {
+      while (j != end && orderer_.key(j) == orderer_.key(i)) {
         ++j;
+      }
+      bool group_sorted = sorted;
+      const auto sort_group = [&] {
+        if (!group_sorted) {
+          orderer_.sort_from(i, j, event_depth + 1);
+          group_sorted = true;
+        }
+      };
+      if (options_.frame_collapse) {
+        sort_group();
       }
       if (options_.frame_collapse &&
           try_collapse_group(i, j, event_depth, frame_trials)) {
@@ -178,9 +204,10 @@ class TreeBuilder {
         children.push_back(make_replay(idx, i, event_depth, frontier));
       } else if (options_.max_states == 0 || depth + 2 < options_.max_states) {
         tree_->planned_ops += 1;  // the child's shared entry-error injection
-        children.push_back(
-            build_branch(idx, &event, i, j, event_depth + 1, depth + 1, frontier));
+        children.push_back(build_branch(idx, &event, i, j, event_depth + 1, depth + 1,
+                                        frontier, group_sorted));
       } else {
+        sort_group();
         for (std::size_t t = i; t != j; ++t) {
           children.push_back(make_replay(idx, t, event_depth, frontier));
         }
@@ -214,7 +241,7 @@ class TreeBuilder {
   }
 
   const CircuitContext& ctx_;
-  const std::vector<Trial>& trials_;
+  TrialOrderer& orderer_;
   const ScheduleOptions& options_;
   ExecTree* tree_ = nullptr;
   std::uint64_t measured_mask_ = 0;
@@ -229,7 +256,7 @@ class TreeBuilder {
 class TreeEmitter {
  public:
   TreeEmitter(const CircuitContext& ctx, const ExecTree& tree,
-              const std::vector<Trial>& trials, ScheduleVisitor& visitor)
+              const TrialSet& trials, ScheduleVisitor& visitor)
       : ctx_(ctx), tree_(tree), trials_(trials), visitor_(visitor) {}
 
   void run() {
@@ -282,7 +309,7 @@ class TreeEmitter {
 
   void emit_replay(std::size_t idx, std::size_t depth) {
     const TreeNode& node = tree_.nodes[idx];
-    const Trial& trial = trials_[node.trial];
+    const TrialView trial = trials_[node.trial];
     layer_index_t f = node.entry_frontier;
     for (std::size_t k = node.event_depth; k < trial.events.size(); ++k) {
       const ErrorEvent& event = trial.events[k];
@@ -302,22 +329,46 @@ class TreeEmitter {
 
   const CircuitContext& ctx_;
   const ExecTree& tree_;
-  const std::vector<Trial>& trials_;
+  const TrialSet& trials_;
   ScheduleVisitor& visitor_;
 };
 
+void check_options(const ScheduleOptions& options) {
+  RQSIM_CHECK(options.max_states == 0 || options.max_states >= 2,
+              "build_exec_tree: max_states must be 0 (unlimited) or >= 2");
+}
+
 }  // namespace
+
+OrderedTrials order_trials(const CircuitContext& ctx, TrialSet trials,
+                           const ScheduleOptions& options) {
+  check_options(options);
+  OrderedTrials out;
+  {
+    TrialOrderer orderer(trials);
+    out.tree = TreeBuilder(ctx, orderer, options).build(/*sorted=*/false);
+    out.order = orderer.take_order();
+  }
+  trials.reorder(out.order);
+  out.trials = std::move(trials);
+  return out;
+}
+
+ExecTree build_exec_tree(const CircuitContext& ctx, const TrialSet& trials,
+                         const ScheduleOptions& options) {
+  RQSIM_CHECK(is_reordered(trials), "build_exec_tree: trials must be reordered first");
+  check_options(options);
+  TrialOrderer orderer(trials);
+  return TreeBuilder(ctx, orderer, options).build(/*sorted=*/true);
+}
 
 ExecTree build_exec_tree(const CircuitContext& ctx, const std::vector<Trial>& trials,
                          const ScheduleOptions& options) {
-  RQSIM_CHECK(is_reordered(trials), "build_exec_tree: trials must be reordered first");
-  RQSIM_CHECK(options.max_states == 0 || options.max_states >= 2,
-              "build_exec_tree: max_states must be 0 (unlimited) or >= 2");
-  return TreeBuilder(ctx, trials, options).build();
+  return build_exec_tree(ctx, TrialSet(trials), options);
 }
 
 void linearize_tree(const CircuitContext& ctx, const ExecTree& tree,
-                    const std::vector<Trial>& trials, ScheduleVisitor& visitor) {
+                    const TrialSet& trials, ScheduleVisitor& visitor) {
   RQSIM_CHECK(tree.num_trials == trials.size(),
               "linearize_tree: tree was built for a different trial list");
   TreeEmitter(ctx, tree, trials, visitor).run();

@@ -153,10 +153,36 @@ struct ExecTree {
   bool has_frames() const { return frame_collapsed_trials != 0; }
 };
 
-/// Build the execution tree for `trials` (which must already be in reorder
-/// order). The MSV budget in `options` lowers over-budget branches to
-/// kReplay leaves exactly like the sequential walker, so the tree schedule
-/// and the sequential schedule stay op-identical for every budget.
+/// Result of order_trials.
+struct OrderedTrials {
+  /// The input trials rearranged into reorder order; every trial index in
+  /// `tree` addresses this set.
+  TrialSet trials;
+
+  /// order[p] = input index of the trial at position p.
+  std::vector<std::uint32_t> order;
+
+  ExecTree tree;
+};
+
+/// Algorithm 1 and the tree build as one recursion (sched/order.hpp): the
+/// trials are bucket-sorted group by group while the tree is emitted.
+/// Equal to reorder_trials followed by build_exec_tree: the order is
+/// std::stable_sort(trial_order_less) index for index, and the tree is the
+/// one build_exec_tree builds over the reordered set, node for node. The
+/// MSV budget in `options` lowers over-budget branches to kReplay leaves
+/// exactly like the sequential walker, so the tree schedule and the
+/// sequential schedule stay op-identical for every budget.
+OrderedTrials order_trials(const CircuitContext& ctx, TrialSet trials,
+                           const ScheduleOptions& options = {});
+
+/// The execution tree of `trials`, which must already be in reorder order
+/// (a merged batch is): the same builder, with every sort skipped.
+ExecTree build_exec_tree(const CircuitContext& ctx, const TrialSet& trials,
+                         const ScheduleOptions& options = {});
+
+/// std::vector<Trial> adapter. Keeps the reordered precondition, so the
+/// nodes' trial indices address the caller's vector.
 ExecTree build_exec_tree(const CircuitContext& ctx, const std::vector<Trial>& trials,
                          const ScheduleOptions& options = {});
 
@@ -164,6 +190,6 @@ ExecTree build_exec_tree(const CircuitContext& ctx, const std::vector<Trial>& tr
 /// stream schedule_trials emits for the same (trials, options) — the
 /// tree-plan verifier asserts this equality op-for-op.
 void linearize_tree(const CircuitContext& ctx, const ExecTree& tree,
-                    const std::vector<Trial>& trials, ScheduleVisitor& visitor);
+                    const TrialSet& trials, ScheduleVisitor& visitor);
 
 }  // namespace rqsim

@@ -71,7 +71,7 @@ struct Task {
 class TreeExecutor {
  public:
   TreeExecutor(const CircuitContext& ctx, const ExecTree& tree,
-               const std::vector<Trial>& trials, const TreeExecConfig& config,
+               const TrialSet& trials, const TreeExecConfig& config,
                TreeTrialSink& sink)
       : ctx_(ctx),
         tree_(tree),
@@ -615,7 +615,7 @@ class TreeExecutor {
 
   void exec_replay(std::size_t w, std::size_t idx, CowState& handle) {
     const TreeNode& node = tree_.nodes[idx];
-    const Trial& trial = trials_[node.trial];
+    const TrialView trial = trials_[node.trial];
     layer_index_t frontier = node.entry_frontier;
     for (std::size_t k = node.event_depth; k < trial.events.size(); ++k) {
       const ErrorEvent& event = trial.events[k];
@@ -676,7 +676,7 @@ class TreeExecutor {
   /// handle lifecycle): replays the trial's remaining events, finishes it.
   void exec_replay_in_place(std::size_t w, std::size_t idx, StateVector& state) {
     const TreeNode& node = tree_.nodes[idx];
-    const Trial& trial = trials_[node.trial];
+    const TrialView trial = trials_[node.trial];
     layer_index_t frontier = node.entry_frontier;
     for (std::size_t k = node.event_depth; k < trial.events.size(); ++k) {
       const ErrorEvent& event = trial.events[k];
@@ -702,7 +702,7 @@ class TreeExecutor {
   /// entered with.
   void uncompute_replay(std::size_t w, std::size_t idx, StateVector& state) {
     const TreeNode& node = tree_.nodes[idx];
-    const Trial& trial = trials_[node.trial];
+    const TrialView trial = trials_[node.trial];
     // Recompute the forward segment boundaries.
     struct Segment {
       layer_index_t from = 0;
@@ -782,7 +782,7 @@ class TreeExecutor {
 
   const CircuitContext& ctx_;
   const ExecTree& tree_;
-  const std::vector<Trial>& trials_;
+  const TrialSet& trials_;
   TreeTrialSink& sink_;
   const std::size_t num_workers_;
   const bool fuse_gates_;
@@ -810,31 +810,51 @@ class TreeExecutor {
 }  // namespace
 
 TreeExecStats execute_tree(const CircuitContext& ctx, const ExecTree& tree,
-                           const std::vector<Trial>& trials,
-                           const TreeExecConfig& config, TreeTrialSink& sink) {
+                           const TrialSet& trials, const TreeExecConfig& config,
+                           TreeTrialSink& sink) {
   RQSIM_CHECK(tree.num_trials == trials.size(),
               "execute_tree: tree was built for a different trial list");
   return TreeExecutor(ctx, tree, trials, config, sink).run();
 }
 
+TreeExecStats execute_tree(const CircuitContext& ctx, const ExecTree& tree,
+                           const std::vector<Trial>& trials,
+                           const TreeExecConfig& config, TreeTrialSink& sink) {
+  return execute_tree(ctx, tree, TrialSet(trials), config, sink);
+}
+
 // --------------------------------------------------------------------------
 // SampledTrialSink
 
-SampledTrialSink::SampledTrialSink(const CircuitContext& ctx,
-                                   const std::vector<Trial>& trials,
+SampledTrialSink::SampledTrialSink(const CircuitContext& ctx, const TrialSet& trials,
                                    const std::vector<PauliString>* observables)
     : SampledTrialSink(ctx, trials, nullptr, {observables}) {}
 
 SampledTrialSink::SampledTrialSink(
-    const CircuitContext& ctx, const std::vector<Trial>& trials,
+    const CircuitContext& ctx, const TrialSet& trials,
     const std::vector<std::size_t>* trial_jobs,
     const std::vector<const std::vector<PauliString>*>& job_observables)
-    : ctx_(ctx), trials_(trials), trial_jobs_(trial_jobs) {
-  RQSIM_CHECK(trial_jobs == nullptr || trial_jobs->size() == trials.size(),
+    : SampledTrialSink(ctx, nullptr, &trials, trial_jobs, job_observables) {}
+
+SampledTrialSink::SampledTrialSink(const CircuitContext& ctx,
+                                   const std::vector<Trial>& trials,
+                                   const std::vector<PauliString>* observables)
+    : SampledTrialSink(ctx, std::make_unique<const TrialSet>(trials), nullptr, nullptr,
+                       {observables}) {}
+
+SampledTrialSink::SampledTrialSink(
+    const CircuitContext& ctx, std::unique_ptr<const TrialSet> owned,
+    const TrialSet* trials, const std::vector<std::size_t>* trial_jobs,
+    const std::vector<const std::vector<PauliString>*>& job_observables)
+    : ctx_(ctx),
+      owned_(std::move(owned)),
+      trials_(trials != nullptr ? *trials : *owned_),
+      trial_jobs_(trial_jobs) {
+  RQSIM_CHECK(trial_jobs == nullptr || trial_jobs->size() == trials_.size(),
               "SampledTrialSink: one job index per trial");
   sampled_ = !ctx.circuit.measured_qubits().empty();
   if (sampled_) {
-    outcomes_.assign(trials.size(), 0);
+    outcomes_.assign(trials_.size(), 0);
   }
   static const std::vector<PauliString> kNone;
   jobs_.reserve(job_observables.size());
@@ -852,7 +872,7 @@ SampledTrialSink::SampledTrialSink(
     }
     stride_ = std::max(stride_, job.list->size());
   }
-  expectations_.assign(trials.size() * stride_, 0.0);
+  expectations_.assign(trials_.size() * stride_, 0.0);
 }
 
 void SampledTrialSink::evaluate(std::size_t job, const StateVector& state,
@@ -876,8 +896,9 @@ void SampledTrialSink::on_finish_group(std::size_t node, std::size_t first_trial
   if (sampled_) {
     RQSIM_CHECK(probs != nullptr, "SampledTrialSink: missing distribution");
     for (std::size_t t = first_trial; t < first_trial + count; ++t) {
-      Rng trial_rng(trials_[t].meas_seed);
-      outcomes_[t] = sample_outcome(*probs, trial_rng) ^ trials_[t].meas_flip_mask;
+      const TrialView trial = trials_[t];
+      Rng trial_rng(trial.meas_seed);
+      outcomes_[t] = sample_outcome(*probs, trial_rng) ^ trial.meas_flip_mask;
     }
   }
   if (stride_ == 0) {
@@ -913,9 +934,10 @@ void SampledTrialSink::on_finish_frames(std::size_t node,
       RQSIM_CHECK(probs != nullptr, "SampledTrialSink: missing distribution");
       const PauliFrame frame{ft.frame_x, ft.frame_z};
       const std::uint64_t flip = frame_outcome_flip(frame, measured);
-      Rng trial_rng(trials_[t].meas_seed);
+      const TrialView trial = trials_[t];
+      Rng trial_rng(trial.meas_seed);
       outcomes_[t] = sample_outcome_permuted(*probs, flip, trial_rng) ^
-                     trials_[t].meas_flip_mask;
+                     trial.meas_flip_mask;
     }
     if (stride_ == 0) {
       continue;

@@ -50,6 +50,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "obs/pauli_string.hpp"
@@ -163,6 +164,11 @@ struct TreeExecStats {
 /// every trial's final state to `sink`. Throws (rethrown from workers) on
 /// any execution error.
 TreeExecStats execute_tree(const CircuitContext& ctx, const ExecTree& tree,
+                           const TrialSet& trials, const TreeExecConfig& config,
+                           TreeTrialSink& sink);
+
+/// std::vector<Trial> adapter.
+TreeExecStats execute_tree(const CircuitContext& ctx, const ExecTree& tree,
                            const std::vector<Trial>& trials,
                            const TreeExecConfig& config, TreeTrialSink& sink);
 
@@ -175,19 +181,24 @@ TreeExecStats execute_tree(const CircuitContext& ctx, const ExecTree& tree,
 /// belongs to job trial_jobs[t] and evaluates that job's observables, and
 /// each job is reduced on its own. Restricted to one job, the merged order
 /// is the job's own reordered order when the merge is stable by job and
-/// then by position (sched/runner.cpp), so every job reduces exactly as
-/// it would alone.
+/// then by position (merge_reordered, sched/order.hpp), so every job
+/// reduces exactly as it would alone.
 class SampledTrialSink : public TreeTrialSink {
  public:
   /// One job: every trial evaluates `observables` (null = none).
-  SampledTrialSink(const CircuitContext& ctx, const std::vector<Trial>& trials,
+  SampledTrialSink(const CircuitContext& ctx, const TrialSet& trials,
                    const std::vector<PauliString>* observables);
 
   /// Merged jobs: trial t evaluates job_observables[trial_jobs[t]]. A null
   /// `trial_jobs` puts every trial in job 0.
-  SampledTrialSink(const CircuitContext& ctx, const std::vector<Trial>& trials,
+  SampledTrialSink(const CircuitContext& ctx, const TrialSet& trials,
                    const std::vector<std::size_t>* trial_jobs,
                    const std::vector<const std::vector<PauliString>*>& job_observables);
+
+  /// std::vector<Trial> adapter of the one-job sink. It owns its converted
+  /// set, because the sink outlives the call.
+  SampledTrialSink(const CircuitContext& ctx, const std::vector<Trial>& trials,
+                   const std::vector<PauliString>* observables);
 
   void on_finish_group(std::size_t node, std::size_t first_trial, std::size_t count,
                        const StateVector& state,
@@ -212,6 +223,12 @@ class SampledTrialSink : public TreeTrialSink {
     std::vector<std::uint64_t> xmask;
   };
 
+  /// Every constructor lands here: the sink reads `*trials`, or `*owned`
+  /// when `trials` is null (the std::vector<Trial> adapter).
+  SampledTrialSink(const CircuitContext& ctx, std::unique_ptr<const TrialSet> owned,
+                   const TrialSet* trials, const std::vector<std::size_t>* trial_jobs,
+                   const std::vector<const std::vector<PauliString>*>& job_observables);
+
   std::size_t job_of(std::size_t trial) const {
     return trial_jobs_ == nullptr ? 0 : (*trial_jobs_)[trial];
   }
@@ -222,7 +239,8 @@ class SampledTrialSink : public TreeTrialSink {
                 std::vector<double>& values) const;
 
   const CircuitContext& ctx_;
-  const std::vector<Trial>& trials_;
+  std::unique_ptr<const TrialSet> owned_;  // declared before trials_
+  const TrialSet& trials_;
   const std::vector<std::size_t>* trial_jobs_;
   std::vector<JobObservables> jobs_;
   bool sampled_ = false;

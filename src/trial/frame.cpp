@@ -107,17 +107,17 @@ bool conjugate_frame_through_gate(PauliFrame& frame, const Gate& gate,
 
 FramePropagation propagate_frame_to_end(const Circuit& circuit,
                                         const Layering& layering,
-                                        const Trial& trial,
+                                        std::span<const ErrorEvent> events,
                                         std::size_t event_depth) {
   FramePropagation result;
-  const std::size_t num_events = trial.events.size();
+  const std::size_t num_events = events.size();
   if (event_depth >= num_events) {
     result.ok = true;
     return result;  // nothing left to push: identity frame
   }
   std::size_t ei = event_depth;
   const std::size_t num_layers = layering.num_layers();
-  for (std::size_t layer = trial.events[ei].layer; layer < num_layers; ++layer) {
+  for (std::size_t layer = events[ei].layer; layer < num_layers; ++layer) {
     // Gates of `layer` act before the errors hosted at the end of `layer`.
     if (!result.frame.identity()) {
       for (const gate_index_t g : layering.layers[layer]) {
@@ -131,8 +131,8 @@ FramePropagation propagate_frame_to_end(const Circuit& circuit,
         }
       }
     }
-    while (ei < num_events && trial.events[ei].layer == layer) {
-      const PauliFrame ef = frame_from_event(circuit, trial.events[ei]);
+    while (ei < num_events && events[ei].layer == layer) {
+      const PauliFrame ef = frame_from_event(circuit, events[ei]);
       result.frame.x ^= ef.x;
       result.frame.z ^= ef.z;
       ++ei;

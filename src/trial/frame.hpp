@@ -65,13 +65,13 @@ struct FramePropagation {
   opcount_t frame_ops = 0;  // table-lookup conjugations performed
 };
 
-/// Propagate the frames of trial.events[event_depth..] through the rest of
+/// Propagate the frames of events[event_depth..] (one trial's) through the rest of
 /// the circuit. Event semantics match the scheduler: an error at layer L
 /// applies after the gates of layer L, so its frame joins the walk just
 /// before layer L+1. Stops (ok = false) at the first blocking gate.
 FramePropagation propagate_frame_to_end(const Circuit& circuit,
                                         const Layering& layering,
-                                        const Trial& trial,
+                                        std::span<const ErrorEvent> events,
                                         std::size_t event_depth);
 
 /// Outcome-bit flip mask of a frame: bit k set iff the frame applies X or

@@ -4,11 +4,11 @@
 
 namespace rqsim {
 
-TrialSetStats compute_trial_stats(const std::vector<Trial>& trials) {
+TrialSetStats compute_trial_stats(const TrialSet& trials) {
   TrialSetStats stats;
   stats.num_trials = trials.size();
-  for (const Trial& t : trials) {
-    const std::size_t k = t.num_errors();
+  for (std::size_t t = 0; t < trials.size(); ++t) {
+    const std::size_t k = trials.num_errors(t);
     stats.total_errors += k;
     stats.max_errors = std::max(stats.max_errors, k);
     if (k == 0) {
@@ -26,7 +26,11 @@ TrialSetStats compute_trial_stats(const std::vector<Trial>& trials) {
   return stats;
 }
 
-double mean_consecutive_shared_prefix(const std::vector<Trial>& trials) {
+TrialSetStats compute_trial_stats(const std::vector<Trial>& trials) {
+  return compute_trial_stats(TrialSet(trials));
+}
+
+double mean_consecutive_shared_prefix(const TrialSet& trials) {
   if (trials.size() < 2) {
     return 0.0;
   }

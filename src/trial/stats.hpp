@@ -19,10 +19,13 @@ struct TrialSetStats {
   std::vector<std::size_t> error_count_histogram;
 };
 
+TrialSetStats compute_trial_stats(const TrialSet& trials);
+
+/// std::vector<Trial> adapter.
 TrialSetStats compute_trial_stats(const std::vector<Trial>& trials);
 
 /// Mean shared-prefix length between consecutive trials in the given order
 /// — the quantity the reorder maximizes.
-double mean_consecutive_shared_prefix(const std::vector<Trial>& trials);
+double mean_consecutive_shared_prefix(const TrialSet& trials);
 
 }  // namespace rqsim

@@ -43,7 +43,7 @@ void PlanRecorder::on_error(std::size_t depth, const ErrorEvent& event) {
 }
 
 void PlanRecorder::on_finish(std::size_t depth, trial_index_t trial_index,
-                             const Trial& trial) {
+                             const TrialView& trial) {
   (void)trial;
   PlanOp op;
   op.kind = PlanOpKind::kFinish;
@@ -66,7 +66,7 @@ namespace {
 
 /// Ops a lone trial costs when replayed from a checkpoint at `frontier`
 /// with its first `event_depth` events already injected.
-opcount_t replay_ops(const CircuitContext& ctx, const Trial& trial,
+opcount_t replay_ops(const CircuitContext& ctx, const TrialView& trial,
                      std::size_t event_depth, layer_index_t frontier) {
   opcount_t ops = 0;
   layer_index_t f = frontier;
@@ -92,13 +92,13 @@ opcount_t replay_ops(const CircuitContext& ctx, const Trial& trial,
 /// builder's propagation (the model must predict the builder's op count
 /// exactly); the *soundness* of each recorded frame is established
 /// separately by verify_tree_plan's numeric frame-algebra pass.
-bool model_group_collapses(const CircuitContext& ctx, const std::vector<Trial>& trials,
+bool model_group_collapses(const CircuitContext& ctx, const TrialSet& trials,
                            const ScheduleOptions& options, std::size_t begin,
                            std::size_t end, std::size_t event_depth,
                            std::uint64_t measured_mask) {
   for (std::size_t t = begin; t != end; ++t) {
     const FramePropagation p =
-        propagate_frame_to_end(ctx.circuit, ctx.layering, trials[t], event_depth);
+        propagate_frame_to_end(ctx.circuit, ctx.layering, trials[t].events, event_depth);
     if (!p.ok || !frame_x_confined_to(p.frame, measured_mask) ||
         (options.frame_observables && p.frame.x != 0)) {
       return false;
@@ -110,7 +110,7 @@ bool model_group_collapses(const CircuitContext& ctx, const std::vector<Trial>& 
 /// Counting model of the reorder+cache recursion over the group
 /// [begin, end) of trials sharing their first `event_depth` events, with
 /// the shared checkpoint advanced through `frontier` layers.
-opcount_t model_group_ops(const CircuitContext& ctx, const std::vector<Trial>& trials,
+opcount_t model_group_ops(const CircuitContext& ctx, const TrialSet& trials,
                           const ScheduleOptions& options, std::size_t begin,
                           std::size_t end, std::size_t event_depth, std::size_t depth,
                           layer_index_t frontier, std::uint64_t measured_mask) {
@@ -170,7 +170,7 @@ std::uint64_t circuit_measured_mask(const Circuit& circuit) {
 
 }  // namespace
 
-opcount_t predict_cached_ops(const CircuitContext& ctx, const std::vector<Trial>& trials,
+opcount_t predict_cached_ops(const CircuitContext& ctx, const TrialSet& trials,
                              const ScheduleOptions& options) {
   if (trials.empty()) {
     return 0;
@@ -289,7 +289,7 @@ struct NumericFrame {
 /// numeric conjugation. The walk order (gates of layer L, then the errors
 /// hosted at layer L's boundary) matches the scheduler's event semantics;
 /// the per-gate algebra is the independent part.
-NumericFrame derive_frame_numeric(const CircuitContext& ctx, const Trial& trial,
+NumericFrame derive_frame_numeric(const CircuitContext& ctx, const TrialView& trial,
                                   std::size_t event_depth) {
   NumericFrame r;
   const std::size_t num_events = trial.events.size();
@@ -395,13 +395,13 @@ PlanVerifier::PlanVerifier(const CircuitContext& ctx, const ScheduleOptions& opt
               "PlanVerifier: max_states must be 0 (unlimited) or >= 2");
 }
 
-PlanProof PlanVerifier::verify(const std::vector<Trial>& trials,
+PlanProof PlanVerifier::verify(const TrialSet& trials,
                                const std::vector<PlanOp>& plan) const {
   return verify_impl(trials, plan, /*frame_prefix=*/nullptr);
 }
 
 PlanProof PlanVerifier::verify_impl(
-    const std::vector<Trial>& trials, const std::vector<PlanOp>& plan,
+    const TrialSet& trials, const std::vector<PlanOp>& plan,
     const std::vector<std::size_t>* frame_prefix) const {
   PlanProof proof;
   proof.num_trials = trials.size();
@@ -422,7 +422,7 @@ PlanProof PlanVerifier::verify_impl(
   // ---- Invariant 1: trial well-formedness and lexicographic reorder
   // order, with "no-further-error" sorted after any further error.
   for (std::size_t i = 0; i < trials.size(); ++i) {
-    const std::vector<ErrorEvent>& events = trials[i].events;
+    const std::span<const ErrorEvent> events = trials[i].events;
     for (std::size_t k = 0; k < events.size(); ++k) {
       if (events[k].layer >= total_layers) {
         return fail(kNoIndex, i,
@@ -585,7 +585,7 @@ PlanProof PlanVerifier::verify_impl(
                           "through layer " + std::to_string(state.frontier) + " of " +
                           std::to_string(total_layers));
         }
-        const std::vector<ErrorEvent>& expected = trials[t].events;
+        const std::span<const ErrorEvent> expected = trials[t].events;
         const std::size_t prefix =
             frame_prefix != nullptr ? (*frame_prefix)[t] : kNoIndex;
         if (prefix != kNoIndex) {
@@ -705,7 +705,7 @@ PlanProof PlanVerifier::verify_impl(
   return proof;
 }
 
-PlanProof PlanVerifier::verify_schedule(const std::vector<Trial>& trials) const {
+PlanProof PlanVerifier::verify_schedule(const TrialSet& trials) const {
   if (!is_reordered(trials)) {
     // Let verify() produce the precise per-trial ordering diagnostic
     // (schedule_trials would refuse to walk an unordered list).
@@ -717,6 +717,11 @@ PlanProof PlanVerifier::verify_schedule(const std::vector<Trial>& trials) const 
 }
 
 PlanProof PlanVerifier::verify_tree_plan(const std::vector<Trial>& trials,
+                                         const ExecTree& tree) const {
+  return verify_tree_plan(TrialSet(trials), tree);
+}
+
+PlanProof PlanVerifier::verify_tree_plan(const TrialSet& trials,
                                          const ExecTree& tree) const {
   const auto fail = [](PlanProof proof, const std::string& message) {
     proof.ok = false;
@@ -800,7 +805,7 @@ PlanProof PlanVerifier::verify_tree_plan(const std::vector<Trial>& trials,
                               " outside its own group [" + std::to_string(node.begin) +
                               ", " + std::to_string(node.end) + ")");
       }
-      const Trial& trial = trials[ft.trial];
+      const TrialView trial = trials[ft.trial];
       if (trial.events.size() <= node.event_depth) {
         return fail_trial(ft.trial,
                           "trial " + std::to_string(ft.trial) +
@@ -932,7 +937,7 @@ PlanProof PlanVerifier::verify_tree_plan(const std::vector<Trial>& trials,
 }
 
 void verify_schedule_or_throw(const CircuitContext& ctx,
-                              const std::vector<Trial>& trials,
+                              const TrialSet& trials,
                               const ScheduleOptions& options, const char* context) {
   const PlanVerifier verifier(ctx, options);
   const PlanProof proof = verifier.verify_schedule(trials);
@@ -943,7 +948,7 @@ void verify_schedule_or_throw(const CircuitContext& ctx,
 }
 
 void verify_tree_plan_or_throw(const CircuitContext& ctx,
-                               const std::vector<Trial>& trials,
+                               const TrialSet& trials,
                                const ExecTree& tree, const ScheduleOptions& options,
                                const char* context) {
   const PlanVerifier verifier(ctx, options);

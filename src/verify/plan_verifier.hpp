@@ -90,7 +90,7 @@ class PlanRecorder : public ScheduleVisitor {
   void on_fork(std::size_t depth) override;
   void on_error(std::size_t depth, const ErrorEvent& event) override;
   void on_finish(std::size_t depth, trial_index_t trial_index,
-                 const Trial& trial) override;
+                 const TrialView& trial) override;
   void on_drop(std::size_t depth) override;
 
   const std::vector<PlanOp>& plan() const { return plan_; }
@@ -182,12 +182,12 @@ class PlanVerifier {
 
   /// Prove (or refute) all schedule invariants for `plan` against
   /// `trials`. Never throws on violation — inspect PlanProof::ok.
-  PlanProof verify(const std::vector<Trial>& trials,
+  PlanProof verify(const TrialSet& trials,
                    const std::vector<PlanOp>& plan) const;
 
   /// Record the scheduler's plan for `trials` (which must already be
   /// reordered) and verify it in one call.
-  PlanProof verify_schedule(const std::vector<Trial>& trials) const;
+  PlanProof verify_schedule(const TrialSet& trials) const;
 
   /// Prove the prefix-tree execution plan (sched/tree.hpp) safe AND
   /// equivalent to the sequential scheduler: linearize the tree, run the
@@ -216,6 +216,10 @@ class PlanVerifier {
   /// *cheaper* than the sequential stream, which is the saving recorded in
   /// PlanProof::frame_saved_ops. Replay leaves additionally get their
   /// uncompute_ok flag re-derived from the gate whitelist.
+  PlanProof verify_tree_plan(const TrialSet& trials,
+                             const ExecTree& tree) const;
+
+  /// std::vector<Trial> adapter.
   PlanProof verify_tree_plan(const std::vector<Trial>& trials,
                              const ExecTree& tree) const;
 
@@ -223,7 +227,7 @@ class PlanVerifier {
   /// Shared invariant pass. `frame_prefix`, when non-null, maps each trial
   /// index to the injected-event prefix length its finish must carry
   /// (kNoIndex = normal trial, full path required).
-  PlanProof verify_impl(const std::vector<Trial>& trials,
+  PlanProof verify_impl(const TrialSet& trials,
                         const std::vector<PlanOp>& plan,
                         const std::vector<std::size_t>* frame_prefix) const;
 
@@ -238,20 +242,20 @@ class PlanVerifier {
 /// the tree builder's collapse decisions (collapsed groups cost no forks
 /// and no subtree ops), predicting the *framed* tree's planned_ops.
 opcount_t predict_cached_ops(const CircuitContext& ctx,
-                             const std::vector<Trial>& trials,
+                             const TrialSet& trials,
                              const ScheduleOptions& options = {});
 
 /// Record + verify, throwing rqsim::Error with the diagnostic on any
 /// violation. `context` names the caller in the error message.
 void verify_schedule_or_throw(const CircuitContext& ctx,
-                              const std::vector<Trial>& trials,
+                              const TrialSet& trials,
                               const ScheduleOptions& options,
                               const char* context);
 
 /// verify_tree_plan, throwing rqsim::Error with the diagnostic on any
 /// violation. `options` must be the ScheduleOptions the tree was built with.
 void verify_tree_plan_or_throw(const CircuitContext& ctx,
-                               const std::vector<Trial>& trials,
+                               const TrialSet& trials,
                                const ExecTree& tree,
                                const ScheduleOptions& options,
                                const char* context);

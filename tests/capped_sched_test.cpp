@@ -39,7 +39,7 @@ TEST(CappedScheduler, RespectsBudget) {
     ScheduleOptions options;
     options.max_states = cap;
     CountBackend backend(w.ctx);
-    schedule_trials(w.ctx, w.trials, backend, options);
+    schedule_trials(w.ctx, TrialSet(w.trials), backend, options);
     EXPECT_LE(backend.max_live_states(), cap) << "cap=" << cap;
     EXPECT_EQ(backend.finished_trials(), w.trials.size());
   }
@@ -53,7 +53,7 @@ TEST(CappedScheduler, OpsMonotoneInBudget) {
     ScheduleOptions options;
     options.max_states = cap;
     CountBackend backend(w.ctx);
-    schedule_trials(w.ctx, w.trials, backend, options);
+    schedule_trials(w.ctx, TrialSet(w.trials), backend, options);
     ops_by_cap.push_back(backend.ops());
   }
   for (std::size_t i = 1; i < ops_by_cap.size(); ++i) {
@@ -66,11 +66,11 @@ TEST(CappedScheduler, OpsMonotoneInBudget) {
 TEST(CappedScheduler, UnlimitedEqualsDefault) {
   Workload w(4, 0.03, 1000, 3);
   CountBackend plain(w.ctx);
-  schedule_trials(w.ctx, w.trials, plain);
+  schedule_trials(w.ctx, TrialSet(w.trials), plain);
   ScheduleOptions options;
   options.max_states = 0;
   CountBackend opt(w.ctx);
-  schedule_trials(w.ctx, w.trials, opt, options);
+  schedule_trials(w.ctx, TrialSet(w.trials), opt, options);
   EXPECT_EQ(plain.ops(), opt.ops());
   EXPECT_EQ(plain.max_live_states(), opt.max_live_states());
 }
@@ -78,11 +78,11 @@ TEST(CappedScheduler, UnlimitedEqualsDefault) {
 TEST(CappedScheduler, LargeBudgetMatchesUnlimited) {
   Workload w(4, 0.05, 1000, 4);
   CountBackend unlimited(w.ctx);
-  schedule_trials(w.ctx, w.trials, unlimited);
+  schedule_trials(w.ctx, TrialSet(w.trials), unlimited);
   ScheduleOptions options;
   options.max_states = unlimited.max_live_states();  // exactly the natural MSV
   CountBackend capped(w.ctx);
-  schedule_trials(w.ctx, w.trials, capped, options);
+  schedule_trials(w.ctx, TrialSet(w.trials), capped, options);
   EXPECT_EQ(capped.ops(), unlimited.ops());
 }
 
@@ -91,7 +91,7 @@ TEST(CappedScheduler, RejectsCapOfOne) {
   ScheduleOptions options;
   options.max_states = 1;
   CountBackend backend(w.ctx);
-  EXPECT_THROW(schedule_trials(w.ctx, w.trials, backend, options), Error);
+  EXPECT_THROW(schedule_trials(w.ctx, TrialSet(w.trials), backend, options), Error);
 }
 
 TEST(CappedScheduler, BitwiseCorrectUnderTightBudget) {
@@ -121,7 +121,7 @@ TEST(CappedScheduler, TraceCorrectUnderTightBudget) {
   ScheduleOptions options;
   options.max_states = 2;
   TraceBackend backend(w.ctx, w.trials.size());
-  schedule_trials(w.ctx, w.trials, backend, options);
+  schedule_trials(w.ctx, TrialSet(w.trials), backend, options);
   for (std::size_t i = 0; i < w.trials.size(); ++i) {
     const auto expected = expected_trace(w.ctx, w.trials[i]);
     ASSERT_EQ(backend.traces()[i].size(), expected.size()) << i;
@@ -160,7 +160,7 @@ TEST(CappedScheduler, TightBudgetStillSharesTopLevelPrefix) {
   ScheduleOptions options;
   options.max_states = 2;
   CountBackend backend(ctx);
-  schedule_trials(ctx, trials, backend, options);
+  schedule_trials(ctx, TrialSet(trials), backend, options);
   EXPECT_LT(backend.ops(), base);
 }
 

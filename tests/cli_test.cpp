@@ -105,6 +105,41 @@ TEST(Cli, FramesAtOneThreadMatchTwoThreads) {
   std::remove(csv[1].c_str());
 }
 
+/// The number printed after `label` in `text`.
+std::uint64_t printed_count(const std::string& text, const std::string& label) {
+  const std::size_t at = text.find(label);
+  EXPECT_NE(at, std::string::npos) << label << " missing from:\n" << text;
+  return at == std::string::npos ? 0 : std::stoull(text.substr(at + label.size()));
+}
+
+TEST(Cli, VerifyProvesTheTreeRunExecutes) {
+  // verify builds the tree `run` executes, --frames and --max-states
+  // included, so the proven op count is the executed one.
+  for (const bool frames : {false, true}) {
+    for (const std::string budget : {"0", "3"}) {
+      std::vector<std::string> flags = {"--circuit",    "qft5", "--device", "yorktown",
+                                        "--trials",     "2048", "--seed",   "9",
+                                        "--max-states", budget};
+      if (frames) {
+        flags.push_back("--frames");
+      }
+      std::vector<std::string> verify_args = {"verify"};
+      verify_args.insert(verify_args.end(), flags.begin(), flags.end());
+      std::vector<std::string> run_args = {"run"};
+      run_args.insert(run_args.end(), flags.begin(), flags.end());
+      const CliResult proof = run(verify_args);
+      const CliResult executed = run(run_args);
+      ASSERT_EQ(proof.code, 0) << proof.err << proof.out;
+      ASSERT_EQ(executed.code, 0) << executed.err;
+      EXPECT_NE(proof.out.find("plan proof: OK"), std::string::npos) << proof.out;
+      EXPECT_EQ(printed_count(proof.out, "cached ops        : "),
+                printed_count(executed.out, "ops executed        : "))
+          << "frames=" << frames << " max_states=" << budget;
+      EXPECT_EQ(proof.out.find("frame trials") != std::string::npos, frames);
+    }
+  }
+}
+
 TEST(Cli, TranspileEmitsQasm) {
   const CliResult result = run({"transpile", "--circuit", "grover"});
   EXPECT_EQ(result.code, 0) << result.err;

@@ -28,7 +28,7 @@ TEST(Enumerate, ConfigurationCountsAndMass) {
   const double expected_mass =
       std::pow(1 - p, 3) + 3.0 * p * std::pow(1 - p, 2);
   EXPECT_NEAR(set.covered_mass, expected_mass, 1e-12);
-  EXPECT_TRUE(is_reordered(set.trials));
+  EXPECT_TRUE(is_reordered(TrialSet(set.trials)));
   // Probabilities positive and consistent with trials.
   ASSERT_EQ(set.probabilities.size(), set.trials.size());
   for (std::size_t i = 0; i < set.trials.size(); ++i) {

@@ -118,7 +118,7 @@ TEST(StatisticalEquivalence, HistogramsAgreeInDistribution) {
 
   Rng base_rng(41);
   assign_measurement_seeds(trials, base_rng);
-  const SvRunResult base = baseline_simulate(ctx, trials);
+  const SvRunResult base = baseline_simulate(ctx, TrialSet(trials));
 
   Rng cached_rng(43);
   assign_measurement_seeds(trials, cached_rng);
@@ -143,7 +143,7 @@ TEST(StatisticalEquivalence, MeasurementErrorFlipsPropagate) {
   auto trials = generate_trials(c, ctx.layering, noise, 50, rng);
   assign_measurement_seeds(trials, rng);
 
-  const SvRunResult base = baseline_simulate(ctx, trials);
+  const SvRunResult base = baseline_simulate(ctx, TrialSet(trials));
   ASSERT_EQ(base.histogram.size(), 1u);
   EXPECT_EQ(base.histogram.begin()->first, 0b10u);
 

@@ -346,7 +346,7 @@ TEST(Frame, VerifierRejectsFramePropagatedThroughTGate) {
   EXPECT_EQ(proof.violating_trial, error_trial);
   EXPECT_NE(proof.diagnostic.find("frame algebra violation"), std::string::npos)
       << proof.diagnostic;
-  EXPECT_THROW(verify_tree_plan_or_throw(ctx, trials, tree, options, "frame_test"),
+  EXPECT_THROW(verify_tree_plan_or_throw(ctx, TrialSet(trials), tree, options, "frame_test"),
                Error);
 }
 

@@ -97,13 +97,13 @@ TEST_P(PipelineFuzz, AllExecutionPathsAgree) {
   Rng trial_rng(GetParam() ^ 0xabcdef);
   auto trials = generate_trials(c, ctx.layering, noise, 150, trial_rng);
   const opcount_t baseline = baseline_op_count(ctx, trials);
-  const ConsecutiveCacheResult unordered = consecutive_cached_count(ctx, trials);
+  const ConsecutiveCacheResult unordered = consecutive_cached_count(ctx, TrialSet(trials));
   reorder_trials(trials);
-  ASSERT_TRUE(is_reordered(trials));
+  ASSERT_TRUE(is_reordered(TrialSet(trials)));
 
   // 1. Trace equivalence: every trial sees exactly its operator sequence.
   TraceBackend tracer(ctx, trials.size());
-  schedule_trials(ctx, trials, tracer);
+  schedule_trials(ctx, TrialSet(trials), tracer);
   for (std::size_t i = 0; i < trials.size(); ++i) {
     const auto expected = expected_trace(ctx, trials[i]);
     ASSERT_EQ(tracer.traces()[i].size(), expected.size()) << "trial " << i;
@@ -115,7 +115,7 @@ TEST_P(PipelineFuzz, AllExecutionPathsAgree) {
   // 2. The count backend and the tree executor agree; ops bounded by
   // alternatives.
   CountBackend counter(ctx);
-  schedule_trials(ctx, trials, counter);
+  schedule_trials(ctx, TrialSet(trials), counter);
   EXPECT_LE(counter.ops(), unordered.ops);
   EXPECT_LE(unordered.ops, baseline);
   EXPECT_EQ(counter.finished_trials(), trials.size());

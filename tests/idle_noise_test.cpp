@@ -126,7 +126,7 @@ TEST(IdleNoise, TraceEquivalenceWithIdleEvents) {
   auto trials = generate_trials(c, ctx.layering, noise, 200, rng);
   reorder_trials(trials);
   TraceBackend backend(ctx, trials.size());
-  schedule_trials(ctx, trials, backend);
+  schedule_trials(ctx, TrialSet(trials), backend);
   for (std::size_t i = 0; i < trials.size(); ++i) {
     const auto expected = expected_trace(ctx, trials[i]);
     ASSERT_EQ(backend.traces()[i].size(), expected.size());

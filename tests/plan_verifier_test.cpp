@@ -42,7 +42,7 @@ std::vector<PlanOp> record_plan(const CircuitContext& ctx,
                                 const std::vector<Trial>& trials,
                                 const ScheduleOptions& options = {}) {
   PlanRecorder recorder;
-  schedule_trials(ctx, trials, recorder, options);
+  schedule_trials(ctx, TrialSet(trials), recorder, options);
   return recorder.take_plan();
 }
 
@@ -61,13 +61,13 @@ TEST(PlanVerifier, AcceptsBenchSuiteSchedulesExactly) {
       ScheduleOptions options;
       options.max_states = cap;
       const PlanVerifier verifier(ctx, options);
-      const PlanProof proof = verifier.verify_schedule(trials);
+      const PlanProof proof = verifier.verify_schedule(TrialSet(trials));
       ASSERT_TRUE(proof.ok) << entry.name << " cap=" << cap << ": "
                             << proof.diagnostic;
       // The proof's op count, the independent model, and the execution
       // backend must agree exactly — the telescoping acceptance criterion.
       CountBackend backend(ctx);
-      schedule_trials(ctx, trials, backend, options);
+      schedule_trials(ctx, TrialSet(trials), backend, options);
       EXPECT_EQ(proof.cached_ops, backend.ops()) << entry.name << " cap=" << cap;
       EXPECT_EQ(proof.predicted_ops, backend.ops()) << entry.name << " cap=" << cap;
       EXPECT_EQ(proof.max_live_states, backend.max_live_states())
@@ -87,7 +87,7 @@ TEST(PlanVerifier, AcceptsMergedBatchStyleTrialLists) {
   merged.insert(merged.end(), b.trials.begin(), b.trials.end());
   reorder_trials(merged);
   const PlanVerifier verifier(a.ctx);
-  const PlanProof proof = verifier.verify_schedule(merged);
+  const PlanProof proof = verifier.verify_schedule(TrialSet(merged));
   ASSERT_TRUE(proof.ok) << proof.diagnostic;
   EXPECT_EQ(proof.num_trials, a.trials.size() + b.trials.size());
   EXPECT_EQ(proof.cached_ops, proof.predicted_ops);
@@ -121,7 +121,7 @@ TEST(PlanVerifier, ExecuteBatchVerifiesMergedSchedule) {
 TEST(PlanVerifier, ProofArtifactsRoundTrip) {
   Workload w(4, 0.05, 800, 3);
   const PlanVerifier verifier(w.ctx);
-  const PlanProof proof = verifier.verify_schedule(w.trials);
+  const PlanProof proof = verifier.verify_schedule(TrialSet(w.trials));
   ASSERT_TRUE(proof.ok);
   EXPECT_GT(proof.forks, 0u);
   EXPECT_EQ(proof.forks, proof.drops);  // stack discipline: every fork dropped
@@ -146,7 +146,7 @@ TEST(PlanVerifier, RejectsSwappedTrialPair) {
   ASSERT_LT(i + 1, w.trials.size());
   std::swap(w.trials[i], w.trials[i + 1]);
   const PlanVerifier verifier(w.ctx);
-  const PlanProof proof = verifier.verify_schedule(w.trials);
+  const PlanProof proof = verifier.verify_schedule(TrialSet(w.trials));
   ASSERT_FALSE(proof.ok);
   EXPECT_EQ(proof.violating_trial, i + 1);
   EXPECT_NE(proof.diagnostic.find("out of reorder order"), std::string::npos)
@@ -168,7 +168,7 @@ TEST(PlanVerifier, RejectsDroppedThenReusedCheckpoint) {
   const auto inserted = static_cast<std::size_t>(drop_it - plan.begin()) + 1;
   plan.insert(drop_it + 1, reuse);
   const PlanVerifier verifier(w.ctx);
-  const PlanProof proof = verifier.verify(w.trials, plan);
+  const PlanProof proof = verifier.verify(TrialSet(w.trials), plan);
   ASSERT_FALSE(proof.ok);
   EXPECT_EQ(proof.violating_op, inserted);
   EXPECT_NE(proof.diagnostic.find("use after drop"), std::string::npos)
@@ -179,7 +179,7 @@ TEST(PlanVerifier, RejectsDroppedThenReusedCheckpoint) {
 
 TEST(PlanVerifier, RejectsMsvBudgetExceededByOne) {
   Workload w(4, 0.08, 2000, 6);
-  const PlanProof unlimited = PlanVerifier(w.ctx).verify_schedule(w.trials);
+  const PlanProof unlimited = PlanVerifier(w.ctx).verify_schedule(TrialSet(w.trials));
   ASSERT_TRUE(unlimited.ok) << unlimited.diagnostic;
   ASSERT_GE(unlimited.max_live_states, 3u);  // budget below must stay >= 2
   // In every sequential schedule a fork's next op writes the child, so the
@@ -191,7 +191,7 @@ TEST(PlanVerifier, RejectsMsvBudgetExceededByOne) {
   ScheduleOptions tight;
   tight.max_states = unlimited.max_live_states - 1;
   const std::vector<PlanOp> plan = record_plan(w.ctx, w.trials);
-  const PlanProof proof = PlanVerifier(w.ctx, tight).verify(w.trials, plan);
+  const PlanProof proof = PlanVerifier(w.ctx, tight).verify(TrialSet(w.trials), plan);
   ASSERT_FALSE(proof.ok);
   EXPECT_EQ(proof.violating_op, unlimited.materialization_witness_op);
   EXPECT_NE(proof.diagnostic.find("exceeding the MSV budget"), std::string::npos)
@@ -230,7 +230,7 @@ TEST(PlanVerifier, AcceptsUnmaterializedForksBeyondBudget) {
   push(PlanOpKind::kDrop, 1);
   ScheduleOptions budget;
   budget.max_states = 2;
-  const PlanProof proof = PlanVerifier(ctx, budget).verify(trials, plan);
+  const PlanProof proof = PlanVerifier(ctx, budget).verify(TrialSet(trials), plan);
   ASSERT_TRUE(proof.ok) << proof.diagnostic;
   EXPECT_EQ(proof.max_live_states, 3u);
   EXPECT_EQ(proof.max_materialized_states, 1u);
@@ -254,7 +254,7 @@ TEST(PlanVerifier, RejectsDeadBranchInsertion) {
   drop.depth = fork_it->depth + 1;
   const auto at = static_cast<std::size_t>(fork_it - plan.begin());
   plan.insert(fork_it, {fork, drop});
-  const PlanProof proof = PlanVerifier(w.ctx).verify(w.trials, plan);
+  const PlanProof proof = PlanVerifier(w.ctx).verify(TrialSet(w.trials), plan);
   ASSERT_FALSE(proof.ok);
   EXPECT_EQ(proof.violating_op, at + 1);
   EXPECT_NE(proof.diagnostic.find("without finishing any trial"), std::string::npos)
@@ -271,7 +271,7 @@ TEST(PlanVerifier, RejectsOpCountTelescopingMismatch) {
   ScheduleOptions tight;
   tight.max_states = 2;
   const std::vector<PlanOp> plan = record_plan(w.ctx, w.trials, tight);
-  const PlanProof proof = PlanVerifier(w.ctx).verify(w.trials, plan);
+  const PlanProof proof = PlanVerifier(w.ctx).verify(TrialSet(w.trials), plan);
   ASSERT_FALSE(proof.ok);
   EXPECT_NE(proof.diagnostic.find("op-count telescoping violated"),
             std::string::npos)
@@ -290,7 +290,7 @@ TEST(PlanVerifier, RejectsUnfinishedTrialAndLeakedCheckpoint) {
   ASSERT_NE(last_finish, plan.rend());
   const auto victim = static_cast<std::size_t>(last_finish->trial);
   plan.erase(std::next(last_finish).base());
-  const PlanProof proof = PlanVerifier(w.ctx).verify(w.trials, plan);
+  const PlanProof proof = PlanVerifier(w.ctx).verify(TrialSet(w.trials), plan);
   ASSERT_FALSE(proof.ok);
   EXPECT_EQ(proof.violating_trial, victim);
   EXPECT_NE(proof.diagnostic.find("never finished"), std::string::npos)
@@ -305,7 +305,7 @@ TEST(PlanVerifier, RejectsUnfinishedTrialAndLeakedCheckpoint) {
       });
   ASSERT_NE(first_fork, leaked.end());
   leaked.erase(first_fork + 1, leaked.end());
-  const PlanProof leak_proof = PlanVerifier(w.ctx).verify(w.trials, leaked);
+  const PlanProof leak_proof = PlanVerifier(w.ctx).verify(TrialSet(w.trials), leaked);
   ASSERT_FALSE(leak_proof.ok);
   EXPECT_NE(leak_proof.diagnostic.find("leaks"), std::string::npos)
       << leak_proof.diagnostic;
@@ -314,11 +314,11 @@ TEST(PlanVerifier, RejectsUnfinishedTrialAndLeakedCheckpoint) {
 TEST(PlanVerifier, ThrowingWrapperNamesCallerAndDiagnostic) {
   Workload w(4, 0.05, 200, 10);
   std::swap(w.trials.front(), w.trials.back());
-  if (is_reordered(w.trials)) {
+  if (is_reordered(TrialSet(w.trials))) {
     GTEST_SKIP() << "degenerate trial set";
   }
   try {
-    verify_schedule_or_throw(w.ctx, w.trials, {}, "test-context");
+    verify_schedule_or_throw(w.ctx, TrialSet(w.trials), {}, "test-context");
     FAIL() << "expected rqsim::Error";
   } catch (const Error& e) {
     const std::string what = e.what();

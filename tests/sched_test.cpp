@@ -68,7 +68,7 @@ TEST(Scheduler, RequiresReorderedInput) {
   trials[0].events = {};           // error-free first = NOT reorder order
   trials[1].events = {{0, 0, 1}};
   CountBackend backend(ctx);
-  EXPECT_THROW(schedule_trials(ctx, trials, backend), Error);
+  EXPECT_THROW(schedule_trials(ctx, TrialSet(trials), backend), Error);
 }
 
 TEST(Scheduler, SingleErrorFreeTrialCostsOneCircuit) {
@@ -76,7 +76,7 @@ TEST(Scheduler, SingleErrorFreeTrialCostsOneCircuit) {
   const CircuitContext ctx(c);
   std::vector<Trial> trials(1);
   CountBackend backend(ctx);
-  schedule_trials(ctx, trials, backend);
+  schedule_trials(ctx, TrialSet(trials), backend);
   EXPECT_EQ(backend.ops(), c.num_gates());
   EXPECT_EQ(backend.max_live_states(), 1u);
   EXPECT_EQ(backend.finished_trials(), 1u);
@@ -87,7 +87,7 @@ TEST(Scheduler, DuplicateTrialsCostOneExecution) {
   const CircuitContext ctx(c);
   std::vector<Trial> trials(100);  // all error-free duplicates
   CountBackend backend(ctx);
-  schedule_trials(ctx, trials, backend);
+  schedule_trials(ctx, TrialSet(trials), backend);
   EXPECT_EQ(backend.ops(), c.num_gates());
   EXPECT_EQ(backend.finished_trials(), 100u);
   EXPECT_EQ(backend.max_live_states(), 1u);
@@ -121,7 +121,7 @@ TEST(Scheduler, PaperFigure2Example) {
   EXPECT_TRUE(trials[3].events.empty());
 
   CountBackend backend(ctx);
-  schedule_trials(ctx, trials, backend);
+  schedule_trials(ctx, TrialSet(trials), backend);
   // Shared layers counted once: 5 gates; each error trial pays 1 error op
   // plus the remaining layers after its error:
   //   layer0-error: 1 + layers 1,2 = 1 + 3
@@ -149,7 +149,7 @@ TEST(Scheduler, SharedErrorDeepensStack) {
   trials[1].events = {{0, 0, 1}, {2, 2, 1}};
   reorder_trials(trials);
   CountBackend backend(ctx);
-  schedule_trials(ctx, trials, backend);
+  schedule_trials(ctx, TrialSet(trials), backend);
   // Root advances layer0 (1 op); fork + shared error (1 op);
   // then subgroup: advance layer1 (1 op), fork + error2 (1), finish rest
   // layer2 (1); drop; advance layer2 on shared branch (1), fork + error (1).
@@ -165,7 +165,7 @@ TEST(Scheduler, EmptyTrialList) {
   const CircuitContext ctx(c);
   std::vector<Trial> trials;
   CountBackend backend(ctx);
-  schedule_trials(ctx, trials, backend);
+  schedule_trials(ctx, TrialSet(trials), backend);
   EXPECT_EQ(backend.ops(), 0u);
   EXPECT_EQ(backend.finished_trials(), 0u);
 }
@@ -193,7 +193,7 @@ TEST_P(TraceEquivalence, EveryTrialSeesItsExactOperatorSequence) {
   reorder_trials(trials);
 
   TraceBackend backend(ctx, trials.size());
-  schedule_trials(ctx, trials, backend);
+  schedule_trials(ctx, TrialSet(trials), backend);
   ASSERT_EQ(backend.traces().size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i) {
     const auto expected = expected_trace(ctx, trials[i]);
@@ -227,7 +227,7 @@ TEST_P(BackendAgreement, CountBackendAndTreeAgreeOnCosts) {
   reorder_trials(trials);
 
   CountBackend counter(ctx);
-  schedule_trials(ctx, trials, counter);
+  schedule_trials(ctx, TrialSet(trials), counter);
 
   const ExecTree tree = build_exec_tree(ctx, trials);
   SampledTrialSink sink(ctx, trials, nullptr);
@@ -259,7 +259,7 @@ TEST(Scheduler, SavingsGrowWithTrialCount) {
     const opcount_t base = baseline_op_count(ctx, trials);
     reorder_trials(trials);
     CountBackend backend(ctx);
-    schedule_trials(ctx, trials, backend);
+    schedule_trials(ctx, TrialSet(trials), backend);
     normalized.push_back(static_cast<double>(backend.ops()) /
                          static_cast<double>(base));
   }
@@ -275,11 +275,11 @@ TEST(ConsecutiveCache, UnorderedNeverBeatsReordered) {
   Rng rng(77);
   auto trials = generate_trials(c, ctx.layering, noise, 1000, rng);
 
-  const ConsecutiveCacheResult unordered = consecutive_cached_count(ctx, trials);
+  const ConsecutiveCacheResult unordered = consecutive_cached_count(ctx, TrialSet(trials));
   auto sorted = trials;
   reorder_trials(sorted);
   CountBackend backend(ctx);
-  schedule_trials(ctx, sorted, backend);
+  schedule_trials(ctx, TrialSet(sorted), backend);
 
   EXPECT_LE(backend.ops(), unordered.ops);
   EXPECT_LE(unordered.ops, baseline_op_count(ctx, trials));
@@ -291,7 +291,7 @@ TEST(ConsecutiveCache, EmptyAndAllDuplicates) {
   EXPECT_EQ(consecutive_cached_count(ctx, {}).ops, 0u);
 
   std::vector<Trial> dups(5);  // identical error-free trials
-  const ConsecutiveCacheResult r = consecutive_cached_count(ctx, dups);
+  const ConsecutiveCacheResult r = consecutive_cached_count(ctx, TrialSet(dups));
   // First trial pays the circuit; the rest share prefix 0 events but the
   // pinned-checkpoint scheme still replays all layers (prefix of length 0).
   EXPECT_EQ(r.ops, 5u * ctx.total_gate_ops());
@@ -323,7 +323,7 @@ TEST(MsvBudget, SingleStateBudgetRejectedEverywhere) {
   CountBackend backend(ctx);
   ScheduleOptions options;
   options.max_states = 1;
-  EXPECT_THROW(schedule_trials(ctx, trials, backend, options), Error);
+  EXPECT_THROW(schedule_trials(ctx, TrialSet(trials), backend, options), Error);
 
   // The documented budgets still work.
   config = NoisyRunConfig{};

@@ -293,7 +293,7 @@ TEST(TelemetryReconciliation, CounterMatchesProofAndResultOnTableOneSuite) {
     const std::vector<Trial> trials =
         trials_as_run_noisy_generates(entry, dev.noise, kTrials, kSeed);
     const CircuitContext ctx(entry.compiled);
-    const PlanProof proof = PlanVerifier(ctx).verify_schedule(trials);
+    const PlanProof proof = PlanVerifier(ctx).verify_schedule(TrialSet(trials));
     ASSERT_TRUE(proof.ok) << entry.name << ": " << proof.diagnostic;
 
     NoisyRunConfig config;
@@ -327,7 +327,7 @@ TEST(TelemetryReconciliation, ParallelTreeCounterMatchesAtOneTwoEightThreads) {
     const std::vector<Trial> trials =
         trials_as_run_noisy_generates(entry, dev.noise, kTrials, kSeed);
     const CircuitContext ctx(entry.compiled);
-    const PlanProof proof = PlanVerifier(ctx).verify_schedule(trials);
+    const PlanProof proof = PlanVerifier(ctx).verify_schedule(TrialSet(trials));
     ASSERT_TRUE(proof.ok) << entry.name << ": " << proof.diagnostic;
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {

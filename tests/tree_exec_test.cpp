@@ -76,7 +76,7 @@ TEST(TreeExec, ZeroRedundancyAtAnyThreadCount) {
   const CircuitContext ctx(c);
   const std::vector<Trial> trials = run_trials(c, ctx, noise, make_config(5000, 1));
   CountBackend counter(ctx);
-  schedule_trials(ctx, trials, counter);
+  schedule_trials(ctx, TrialSet(trials), counter);
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     const NoisyRunResult tree = run_noisy(c, noise, make_config(5000, threads));
     EXPECT_EQ(tree.ops, counter.ops()) << threads << " threads";
@@ -157,7 +157,7 @@ TEST(TreeExec, TreePlanProofCoversSuite) {
       const PlanProof proof = verifier.verify_tree_plan(trials, tree);
       ASSERT_TRUE(proof.ok) << suite[pick].name << ": " << proof.diagnostic;
       EXPECT_EQ(tree.planned_ops, proof.cached_ops);
-      EXPECT_EQ(tree.planned_ops, predict_cached_ops(ctx, trials, options));
+      EXPECT_EQ(tree.planned_ops, predict_cached_ops(ctx, TrialSet(trials), options));
       EXPECT_EQ(tree.planned_forks, proof.forks);
       EXPECT_EQ(tree.peak_demand, proof.max_live_states);
       if (budget != 0) {
@@ -200,7 +200,7 @@ TEST(TreeExec, VerifierRejectsCorruptedTree) {
   ASSERT_TRUE(corrupted);
   EXPECT_FALSE(verifier.verify_tree_plan(trials, bad_leaf).ok);
   EXPECT_THROW(
-      verify_tree_plan_or_throw(ctx, trials, bad_leaf, options, "tree_exec_test"),
+      verify_tree_plan_or_throw(ctx, TrialSet(trials), bad_leaf, options, "tree_exec_test"),
       Error);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "bench_circuits/qft.hpp"
 #include "circuit/layering.hpp"
@@ -37,6 +38,38 @@ TEST(Trial, SharedPrefixLength) {
   EXPECT_EQ(shared_prefix_length(a, b), 3u);
   b.events.clear();
   EXPECT_EQ(shared_prefix_length(a, b), 0u);
+}
+
+TEST(TrialSet, FlatLayoutViewsReorderAndRoundTrip) {
+  std::vector<Trial> trials(4);
+  trials[0].events = {{0, 0, 1}, {2, 3, 2}};
+  trials[1].meas_flip_mask = 5;  // error-free
+  trials[2].events = {{1, 4, 3}};
+  trials[2].meas_seed = 9;
+  trials[3].events = {{0, 1, 1}};
+  const TrialSet set(trials);
+  ASSERT_EQ(set.size(), 4u);
+  EXPECT_EQ(set.total_errors(), 4u);  // error-free trials store no events
+  EXPECT_EQ(set[1].num_errors(), 0u);
+  EXPECT_EQ(set[1].meas_flip_mask, 5u);
+  EXPECT_EQ(set[2].meas_seed, 9u);
+  EXPECT_TRUE(set[0].events[1] == (ErrorEvent{2, 3, 2}));
+  std::size_t visited = 0;
+  for (const TrialView t : set) {
+    EXPECT_EQ(t.num_errors(), trials[visited].num_errors());
+    ++visited;
+  }
+  EXPECT_EQ(visited, 4u);
+
+  TrialSet moved = set;
+  const std::vector<std::uint32_t> order = {2, 0, 3, 1};
+  moved.reorder(order);
+  const std::vector<Trial> back = moved.to_trials();
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    EXPECT_EQ(back[p].events, trials[order[p]].events) << "p=" << p;
+    EXPECT_EQ(back[p].meas_flip_mask, trials[order[p]].meas_flip_mask);
+    EXPECT_EQ(back[p].meas_seed, trials[order[p]].meas_seed);
+  }
 }
 
 TEST(Trial, EventOrdering) {
@@ -153,6 +186,37 @@ TEST(Generator, NoiselessYieldsEmptyTrials) {
   }
 }
 
+TEST(Generator, LogFreeSkipFiresOnlyWhereTheExactSkipCoversTheClass) {
+  // The generator breaks out of a rate class when its first draw u is at
+  // least u_hi, without evaluating the skip. That is sound only if the
+  // exact skip floor(log1p(-u) * inv_log_keep) is >= the class size there.
+  Rng rng(2718);
+  std::size_t fired = 0;
+  for (const double rate : {1e-9, 1e-4, 1e-3, 0.3, 1.0 - 1e-9}) {
+    for (const std::size_t size : {std::size_t{1}, std::size_t{16}, std::size_t{100000}}) {
+      const GeometricSkip skip(rate, size);
+      const auto check = [&](double u) {
+        if (u < 0.0 || u >= 1.0 || u < skip.u_hi) {
+          return;  // not a draw, or the fast path does not fire
+        }
+        ++fired;
+        ASSERT_GE(skip.skip(u), static_cast<double>(size))
+            << "rate=" << rate << " size=" << size << " u=" << u;
+      };
+      check(skip.u_hi);
+      check(std::nextafter(skip.u_hi, 0.0));
+      check(std::nextafter(skip.u_hi, 2.0));
+      // Half the probes uniform in [0, 1), half within 1e-6 (relative)
+      // of the threshold, where the margin is tightest.
+      for (int i = 0; i < 500000; ++i) {
+        check(rng.uniform());
+        check(skip.u_hi * (1.0 + (rng.uniform() - 0.5) * 1e-6));
+      }
+    }
+  }
+  EXPECT_GT(fired, 0u);
+}
+
 TEST(Generator, RejectsThreeQubitGates) {
   Circuit c(3);
   c.ccx(0, 1, 2);
@@ -185,7 +249,7 @@ TEST(Stats, MeanConsecutiveSharedPrefix) {
   trials[1].events = {{0, 0, 1}, {1, 1, 1}};
   trials[2].events = {{0, 0, 1}};
   // prefixes: (t0,t1)=2, (t1,t2)=1 -> mean 1.5
-  EXPECT_DOUBLE_EQ(mean_consecutive_shared_prefix(trials), 1.5);
+  EXPECT_DOUBLE_EQ(mean_consecutive_shared_prefix(TrialSet(trials)), 1.5);
   EXPECT_DOUBLE_EQ(mean_consecutive_shared_prefix({}), 0.0);
 }
 

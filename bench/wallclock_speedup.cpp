@@ -5,19 +5,9 @@
 //
 // The parallel benchmarks run the work-stealing prefix-tree executor at
 // several thread counts (zero redundant prefix ops at any count). Beyond
-// the gbench registrations, two driver flags make this file the parallel
+// the gbench registrations, one driver flag makes this file the parallel
 // perf gate:
 //
-//   --parallel-json <path>   sweep tree and frames (Pauli-frame collapse)
-//                            modes over thread counts on three Table I
-//                            circuits plus 20–24 qubit bv / ghz / grover
-//                            instances — ghz additionally at a tight MSV
-//                            budget to record uncompute routing — and
-//                            write the machine-readable rows (ops, fork
-//                            copies, CoW materializations,
-//                            frame_collapsed_trials, frame_ops,
-//                            uncomputations, wall ms, speedup_vs_1t), then
-//                            exit.
 //   --parallel-check         fast assertion mode for ctest (perf_smoke):
 //                            exits nonzero unless the tree's op counts at
 //                            2 and 4 threads equal the sequential
@@ -29,21 +19,20 @@
 //                            ghz / bv / rb), and a budgeted ghz run routes
 //                            every refused fork through uncomputation with
 //                            zero inline fallbacks.
+//
+// End-to-end wall times on a multi-core host come from perfbench
+// (perfbench/README.md), whose qft18_t4 and table1_bulk workloads run 4
+// threads.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "bench_circuits/bv.hpp"
 #include "bench_circuits/ghz.hpp"
-#include "bench_circuits/grover.hpp"
 #include "bench_circuits/suite.hpp"
 #include "noise/devices.hpp"
 #include "sched/runner.hpp"
-#include "telemetry/clock.hpp"
 #include "transpile/decompose.hpp"
 
 namespace {
@@ -119,212 +108,7 @@ BENCHMARK(BM_CachedParallel)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Parallel-mode sweep / check drivers (no gbench involvement).
-
-struct SweepPoint {
-  std::string circuit;
-  std::string mode;
-  unsigned qubits = 0;
-  std::size_t trials = 0;
-  std::size_t threads = 0;
-  opcount_t ops = 0;
-  std::uint64_t fork_copies = 0;
-  std::uint64_t cow_materializations = 0;
-  double wall_ms = 0.0;
-  /// wall_ms of the same circuit+mode at 1 thread divided by this point's
-  /// wall_ms — derived after the sweep; 1.0 for the 1-thread rows.
-  double speedup_vs_1t = 1.0;
-  // Scheduling/occupancy telemetry (NoisyRunResult::telemetry).
-  std::uint64_t steals = 0;
-  std::uint64_t inline_fallbacks = 0;
-  std::uint64_t pool_reuses = 0;
-  std::uint64_t pool_allocs = 0;
-  std::uint64_t pool_prewarmed = 0;
-  std::size_t peak_live_states = 0;
-  // Pauli-frame collapse + uncompute routing (frames / budget rows).
-  std::uint64_t frame_collapsed_trials = 0;
-  std::uint64_t frame_ops = 0;
-  std::uint64_t uncomputations = 0;
-};
-
-/// One circuit of the parallel sweep. The Table I entries run the paper's
-/// 512-trial configuration; the 20–24 qubit entries scale trials and
-/// repetitions down with the amplitude-vector size (one gate op sweeps 2^n
-/// amplitudes) so the sweep stays inside a CI budget.
-struct SweepCase {
-  std::string name;
-  unsigned qubits = 0;
-  Circuit compiled;
-  NoiseModel noise;
-  std::size_t trials = 512;
-  int reps = 3;
-  std::vector<std::size_t> threads;
-};
-
-std::vector<SweepCase> make_sweep_cases() {
-  std::vector<SweepCase> cases;
-  const DeviceModel dev = yorktown_device();
-  for (const std::size_t index : {std::size_t{1}, std::size_t{7}, std::size_t{11}}) {
-    const BenchmarkEntry& entry = suite_entry(index);
-    cases.push_back({entry.name, entry.compiled.num_qubits(), entry.compiled,
-                     dev.noise, 512, 3, {1, 2, 4, 8}});
-  }
-  // 20–24 qubit scale: uniform noise with per-circuit rates tuned so a
-  // trial carries ~1 injected error on average (deeper circuits get lower
-  // rates), which keeps the prefix trees realistically branchy without
-  // degenerating into per-trial replays.
-  const auto big = [&cases](std::string name, Circuit logical, double rate,
-                            std::size_t trials, int reps,
-                            std::vector<std::size_t> threads) {
-    Circuit compiled = decompose_to_cx_basis(logical);
-    const unsigned n = compiled.num_qubits();
-    cases.push_back({std::move(name), n, std::move(compiled),
-                     NoiseModel::uniform(n, rate, 4 * rate, 0.02), trials, reps,
-                     std::move(threads)});
-  };
-  big("bv20", make_bv(19, 0x5A5A5u), 0.01, 24, 2, {1, 2, 4});
-  big("ghz20", make_ghz(20), 0.02, 24, 2, {1, 2, 4});
-  big("grover20", make_grover(20, 0x2B5u), 0.001, 24, 2, {1, 2, 4});
-  big("bv24", make_bv(23, 0x35A5A5u), 0.008, 8, 1, {1, 4});
-  big("ghz24", make_ghz(24), 0.02, 8, 1, {1, 4});
-  big("grover24", make_grover(24, 0xAB5u), 0.001, 8, 1, {1, 4});
-  return cases;
-}
-
-NoisyRunResult timed_parallel(const Circuit& circuit, const NoiseModel& noise,
-                              std::size_t threads, double& best_ms,
-                              std::size_t trials, int reps, bool frames,
-                              std::size_t max_states) {
-  NoisyRunConfig config;
-  config.num_trials = trials;
-  config.seed = 7;
-  config.num_threads = threads;
-  config.frame_collapse = frames;
-  config.max_states = max_states;
-  NoisyRunResult result;
-  best_ms = 0.0;
-  // Best of `reps` damps scheduler noise (the sweep runs on shared CI
-  // machines; op counts are deterministic, only the clock needs repeats).
-  // Timing comes from the telemetry clock (telemetry/clock.hpp), the
-  // project's single source of monotonic time (analyzer rule RQS004).
-  for (int rep = 0; rep < reps; ++rep) {
-    const telemetry::Stopwatch stopwatch;
-    result = run_noisy(circuit, noise, config);
-    const double ms = stopwatch.elapsed_ms();
-    if (rep == 0 || ms < best_ms) {
-      best_ms = ms;
-    }
-  }
-  return result;
-}
-
-struct SweepMode {
-  const char* name;
-  bool frames;
-  std::size_t max_states;  // 0 = unlimited
-};
-
-SweepPoint run_sweep_point(const SweepCase& c, const SweepMode& m,
-                           std::size_t threads) {
-  SweepPoint point;
-  point.circuit = c.name;
-  point.mode = m.name;
-  point.qubits = c.qubits;
-  point.trials = c.trials;
-  point.threads = threads;
-  const NoisyRunResult result =
-      timed_parallel(c.compiled, c.noise, threads, point.wall_ms, c.trials, c.reps,
-                     m.frames, m.max_states);
-  point.ops = result.ops;
-  point.fork_copies = result.fork_copies;
-  point.cow_materializations = result.telemetry.cow_materializations;
-  point.steals = result.telemetry.steals;
-  point.inline_fallbacks = result.telemetry.inline_fallbacks;
-  point.pool_reuses = result.telemetry.pool_reuses;
-  point.pool_allocs = result.telemetry.pool_allocs;
-  point.pool_prewarmed = result.telemetry.pool_prewarmed;
-  point.peak_live_states = result.telemetry.peak_live_states;
-  point.frame_collapsed_trials = result.telemetry.frame_collapsed_trials;
-  point.frame_ops = result.telemetry.frame_ops;
-  point.uncomputations = result.telemetry.uncomputations;
-  std::printf("%-10s %2uq %-12s %zu threads: %llu ops, %llu forks, "
-              "%llu cow copies, %llu fallbacks, %llu framed, "
-              "%llu uncomputed, %.2f ms\n",
-              point.circuit.c_str(), point.qubits, point.mode.c_str(), threads,
-              static_cast<unsigned long long>(point.ops),
-              static_cast<unsigned long long>(point.fork_copies),
-              static_cast<unsigned long long>(point.cow_materializations),
-              static_cast<unsigned long long>(point.inline_fallbacks),
-              static_cast<unsigned long long>(point.frame_collapsed_trials),
-              static_cast<unsigned long long>(point.uncomputations),
-              point.wall_ms);
-  return point;
-}
-
-int run_parallel_sweep(const std::string& path) {
-  const SweepMode modes[] = {
-      {"tree", /*frames=*/false, 0},
-      {"frames", /*frames=*/true, 0},
-  };
-  // Budget rows: a tight MSV budget on the Clifford-only ghz instances,
-  // where every refused fork must route through uncomputation instead of
-  // an inline fallback (the uncomputations column records the routing).
-  const SweepMode budget_mode = {"tree_budget2", /*frames=*/false, 2};
-  std::vector<SweepPoint> points;
-  for (const SweepCase& c : make_sweep_cases()) {
-    for (const SweepMode& m : modes) {
-      for (const std::size_t threads : c.threads) {
-        points.push_back(run_sweep_point(c, m, threads));
-      }
-    }
-    if (c.name.rfind("ghz", 0) == 0) {
-      for (const std::size_t threads : c.threads) {
-        points.push_back(run_sweep_point(c, budget_mode, threads));
-      }
-    }
-  }
-  // Derive speedup_vs_1t against the same circuit+mode single-thread row.
-  for (SweepPoint& p : points) {
-    for (const SweepPoint& base : points) {
-      if (base.circuit == p.circuit && base.mode == p.mode &&
-          base.threads == 1 && p.wall_ms > 0.0) {
-        p.speedup_vs_1t = base.wall_ms / p.wall_ms;
-        break;
-      }
-    }
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << "{\n  \"benchmark\": \"parallel_modes\",\n"
-      << "  \"seed\": 7,\n  \"results\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    out << "    {\"circuit\": \"" << p.circuit << "\", \"qubits\": " << p.qubits
-        << ", \"mode\": \"" << p.mode
-        << "\", \"trials\": " << p.trials
-        << ", \"threads\": " << p.threads << ", \"matvec_ops\": " << p.ops
-        << ", \"fork_copies\": " << p.fork_copies
-        << ", \"cow_materializations\": " << p.cow_materializations
-        << ", \"steals\": " << p.steals
-        << ", \"inline_fallbacks\": " << p.inline_fallbacks
-        << ", \"pool_reuses\": " << p.pool_reuses
-        << ", \"pool_allocs\": " << p.pool_allocs
-        << ", \"pool_prewarmed\": " << p.pool_prewarmed
-        << ", \"peak_live_states\": " << p.peak_live_states
-        << ", \"frame_collapsed_trials\": " << p.frame_collapsed_trials
-        << ", \"frame_ops\": " << p.frame_ops
-        << ", \"uncomputations\": " << p.uncomputations
-        << ", \"wall_ms\": " << p.wall_ms
-        << ", \"speedup_vs_1t\": " << p.speedup_vs_1t << "}"
-        << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("parallel sweep written to %s\n", path.c_str());
-  return 0;
-}
+// Parallel check driver (no gbench involvement).
 
 int run_parallel_check() {
   const DeviceModel dev = yorktown_device();
@@ -465,9 +249,8 @@ int run_parallel_check() {
 // Custom main so `--json <path>` (or `--json=<path>`) writes the machine-
 // readable run next to the console report — shorthand for google benchmark's
 // --benchmark_out=<path> --benchmark_out_format=json pair, kept stable here
-// so driver scripts don't depend on gbench flag spellings. `--parallel-json`
-// and `--parallel-check` run the parallel sweep / check drivers instead of
-// gbench.
+// so driver scripts don't depend on gbench flag spellings. `--parallel-check`
+// runs the parallel check driver instead of gbench.
 int main(int argc, char** argv) {
   std::vector<std::string> args;
   args.reserve(static_cast<std::size_t>(argc) + 1);
@@ -476,12 +259,6 @@ int main(int argc, char** argv) {
     std::string path;
     if (arg == "--parallel-check") {
       return run_parallel_check();
-    }
-    if (arg == "--parallel-json" && i + 1 < argc) {
-      return run_parallel_sweep(argv[i + 1]);
-    }
-    if (arg.rfind("--parallel-json=", 0) == 0) {
-      return run_parallel_sweep(arg.substr(16));
     }
     if (arg == "--json" && i + 1 < argc) {
       path = argv[++i];

@@ -25,11 +25,10 @@
 #include "sched/runner.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "service/workload.hpp"
 #include "telemetry/clock.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
-#include "transpile/decompose.hpp"
-#include "transpile/transpiler.hpp"
 #include "verify/plan_verifier.hpp"
 
 namespace rqsim {
@@ -198,7 +197,10 @@ CliOptions parse_options(const std::vector<std::string>& args, std::size_t begin
   return options;
 }
 
-Circuit load_circuit(const CliOptions& options) {
+// The workload the flags describe, as `submit` sends it: --qasm reads its
+// file into the spec.
+WorkloadSpec workload_spec(const CliOptions& options) {
+  WorkloadSpec spec;
   if (!options.qasm_path.empty()) {
     std::ifstream file(options.qasm_path);
     if (!file) {
@@ -206,38 +208,46 @@ Circuit load_circuit(const CliOptions& options) {
     }
     std::ostringstream buffer;
     buffer << file.rdbuf();
-    return from_qasm(buffer.str());
+    spec.qasm = buffer.str();
+  } else if (!options.circuit_spec.empty()) {
+    spec.circuit_spec = options.circuit_spec;
+  } else {
+    usage_error("one of --circuit or --qasm is required");
   }
-  if (!options.circuit_spec.empty()) {
-    return make_named_circuit(options.circuit_spec);
-  }
-  usage_error("one of --circuit or --qasm is required");
+  spec.device = options.device;
+  spec.device_qubits = options.device_qubits;
+  spec.device_rate = options.device_rate;
+  spec.noise_scale = options.noise_scale;
+  spec.no_transpile = options.no_transpile;
+  return spec;
 }
 
-DeviceModel load_device(const CliOptions& options, unsigned circuit_qubits) {
-  DeviceModel dev;
+// Resolve the flags' workload through build_workload's steps
+// (service/workload.hpp), with --device-csv in place of a named device and
+// the CLI's own error messages. The run verbs pass `transpile_log` for the
+// "transpiled onto" line.
+Workload load_workload(const CliOptions& options, std::ostream* transpile_log) {
+  const WorkloadSpec spec = workload_spec(options);
+  const Circuit logical = workload_circuit(spec);
+  std::optional<DeviceModel> device;
   if (!options.device_csv.empty()) {
-    dev = load_calibration_csv(options.device_csv);
-  } else if (options.device == "yorktown") {
-    dev = yorktown_device();
-  } else if (options.device == "yorktown-directed") {
-    dev = yorktown_device();
-    dev.coupling = CouplingMap::yorktown_directed();
-  } else if (options.device == "ideal") {
-    dev = ideal_device(options.device_qubits > 0 ? options.device_qubits
-                                                 : circuit_qubits);
-  } else if (options.device == "artificial") {
-    dev = artificial_device(
-        options.device_qubits > 0 ? options.device_qubits : circuit_qubits,
-        options.device_rate);
+    device = load_calibration_csv(options.device_csv);
   } else {
-    usage_error("unknown device '" + options.device +
-                "' (yorktown | yorktown-directed | artificial | ideal)");
+    device = named_device(spec, logical.num_qubits());
+    if (!device) {
+      usage_error("unknown device '" + options.device + "' (" + kDeviceNames + ")");
+    }
   }
-  if (options.noise_scale != 1.0) {
-    dev.noise = dev.noise.scaled(options.noise_scale);
+  RQSIM_CHECK(fits_device(logical, *device, spec),
+              "cli: circuit has more qubits than the device; use --qubits or "
+              "--no-transpile with an ideal/artificial device");
+  Workload workload = prepare_workload(logical, std::move(*device), spec);
+  if (transpile_log != nullptr && !spec.no_transpile) {
+    *transpile_log << "transpiled onto " << workload.device_name << ": "
+                   << workload.circuit.num_gates() << " gates, "
+                   << workload.swaps_inserted << " SWAPs inserted\n";
   }
-  return dev;
+  return workload;
 }
 
 ExecutionMode parse_mode(const std::string& mode) {
@@ -251,21 +261,6 @@ ExecutionMode parse_mode(const std::string& mode) {
     return ExecutionMode::kCachedUnordered;
   }
   usage_error("unknown mode '" + mode + "' (baseline | cached | unordered)");
-}
-
-// Transpile unless disabled; always decompose to 1-/2-qubit gates.
-Circuit prepare_circuit(const Circuit& logical, const DeviceModel& dev,
-                        const CliOptions& options, std::ostream& out) {
-  if (options.no_transpile) {
-    return decompose_to_cx_basis(logical);
-  }
-  RQSIM_CHECK(logical.num_qubits() <= dev.coupling.num_qubits(),
-              "cli: circuit has more qubits than the device; use --qubits or "
-              "--no-transpile with an ideal/artificial device");
-  const TranspileResult compiled = transpile(logical, dev.coupling);
-  out << "transpiled onto " << dev.name << ": " << compiled.circuit.num_gates()
-      << " gates, " << compiled.swaps_inserted << " SWAPs inserted\n";
-  return compiled.circuit;
 }
 
 void print_result(const NoisyRunResult& result, std::size_t num_measured,
@@ -322,9 +317,8 @@ void print_result(const NoisyRunResult& result, std::size_t num_measured,
 
 int cmd_run(const std::vector<std::string>& args, std::ostream& out, bool analyze_only) {
   const CliOptions options = parse_options(args, 2);
-  const Circuit logical = load_circuit(options);
-  const DeviceModel dev = load_device(options, logical.num_qubits());
-  const Circuit circuit = prepare_circuit(logical, dev, options, out);
+  const Workload workload = load_workload(options, &out);
+  const Circuit& circuit = workload.circuit;
 
   if (!options.trace_out.empty()) {
     if (!telemetry::compiled()) {
@@ -341,8 +335,8 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out, bool analyz
   config.max_states = options.max_states;
   config.num_threads = options.threads;
   config.frame_collapse = options.frames;
-  const NoisyRunResult result = analyze_only ? analyze_noisy(circuit, dev.noise, config)
-                                             : run_noisy(circuit, dev.noise, config);
+  const NoisyRunResult result = analyze_only ? analyze_noisy(circuit, workload.noise, config)
+                                             : run_noisy(circuit, workload.noise, config);
   if (!options.trace_out.empty()) {
     telemetry::stop_tracing();
     const long events = telemetry::export_trace(options.trace_out);
@@ -362,12 +356,15 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out, bool analyz
 
 int cmd_enumerate(const std::vector<std::string>& args, std::ostream& out) {
   const CliOptions options = parse_options(args, 2);
-  const Circuit logical = load_circuit(options);
-  const DeviceModel dev = load_device(options, logical.num_qubits());
-  const Circuit circuit = prepare_circuit(logical, dev, options, out);
+  if (options.threads != 1 || options.max_states != 0 || options.frames) {
+    usage_error("enumerate runs on one thread without a state budget or frames; "
+                "drop --threads, --max-states and --frames");
+  }
+  const Workload workload = load_workload(options, &out);
+  const Circuit& circuit = workload.circuit;
 
   const TruncatedDistribution t =
-      truncated_exact_distribution(circuit, dev.noise, options.max_errors);
+      truncated_exact_distribution(circuit, workload.noise, options.max_errors);
   out << "configurations (<= " << options.max_errors
       << " errors): " << t.num_configurations << "\n";
   out << "covered probability mass : " << format_double(t.covered_mass, 6)
@@ -402,26 +399,22 @@ int cmd_enumerate(const std::vector<std::string>& args, std::ostream& out) {
 // included), prove it without executing it, and print the proof artifacts.
 int cmd_verify(const std::vector<std::string>& args, std::ostream& out) {
   const CliOptions options = parse_options(args, 2);
-  const Circuit logical = load_circuit(options);
-  const DeviceModel dev = load_device(options, logical.num_qubits());
-  const Circuit circuit = prepare_circuit(logical, dev, options, out);
+  const Workload workload = load_workload(options, &out);
+  const Circuit& circuit = workload.circuit;
 
   NoisyRunConfig config;
   config.num_trials = options.trials;
   config.seed = options.seed;
   config.max_states = options.max_states;
   config.frame_collapse = options.frames;
-  const PlanProof proof = prove_noisy(circuit, dev.noise, config);
+  const PlanProof proof = prove_noisy(circuit, workload.noise, config);
   out << format_proof(proof);
   return proof.ok ? 0 : 1;
 }
 
 int cmd_transpile(const std::vector<std::string>& args, std::ostream& out) {
   const CliOptions options = parse_options(args, 2);
-  const Circuit logical = load_circuit(options);
-  const DeviceModel dev = load_device(options, logical.num_qubits());
-  const TranspileResult compiled = transpile(logical, dev.coupling);
-  out << to_qasm(compiled.circuit);
+  out << to_qasm(load_workload(options, nullptr).circuit);
   return 0;
 }
 
@@ -539,25 +532,7 @@ void print_remote_status(const Json& response, const CliOptions& options,
 
 int cmd_submit(const std::vector<std::string>& args, std::ostream& out) {
   const CliOptions options = parse_options(args, 2);
-  WorkloadSpec workload;
-  if (!options.qasm_path.empty()) {
-    std::ifstream file(options.qasm_path);
-    if (!file) {
-      usage_error("cannot open QASM file '" + options.qasm_path + "'");
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    workload.qasm = buffer.str();
-  } else if (!options.circuit_spec.empty()) {
-    workload.circuit_spec = options.circuit_spec;
-  } else {
-    usage_error("one of --circuit or --qasm is required");
-  }
-  workload.device = options.device;
-  workload.device_qubits = options.device_qubits;
-  workload.device_rate = options.device_rate;
-  workload.noise_scale = options.noise_scale;
-  workload.no_transpile = options.no_transpile;
+  const WorkloadSpec workload = workload_spec(options);
 
   SubmitParams params;
   params.trials = options.trials;
@@ -1016,7 +991,8 @@ void print_usage(std::ostream& out) {
          "  --max-states <n>      MSV budget (0 = unlimited)\n"
          "  --frames              Pauli-frame subtree collapse (cached runs:\n"
          "                        Clifford-propagatable trials finish as tracked\n"
-         "                        frames, bitwise-identical, fewer matvec ops)\n"
+         "                        frames, bitwise-identical, fewer matvec ops;\n"
+         "                        analyze rejects it: prove the count with verify)\n"
          "  --top <k>             histogram rows to print (default 16)\n"
          "  --max-errors <k>      enumeration truncation order (default 2)\n"
          "  --csv <file>          write the outcome histogram as CSV\n"

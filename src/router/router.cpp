@@ -1,16 +1,11 @@
 #include "router/router.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/version.hpp"
 #include "router/ring.hpp"
 #include "service/protocol.hpp"
-#include "service/socket_util.hpp"
 #include "telemetry/clock.hpp"
 #include "telemetry/slo.hpp"
 #include "telemetry/telemetry.hpp"
@@ -19,14 +14,6 @@
 namespace rqsim {
 
 namespace {
-
-Json error_response(const std::string& code, const std::string& detail) {
-  Json response = Json::object();
-  response.set("ok", Json(false));
-  response.set("error", Json(code));
-  response.set("detail", Json(detail));
-  return response;
-}
 
 bool is_terminal_state(const std::string& state) {
   return state == "done" || state == "failed" || state == "cancelled";
@@ -50,124 +37,33 @@ constexpr const char* kSummedStatsFields[] = {
 FleetRouter::FleetRouter(RouterConfig config)
     : config_(std::move(config)),
       pool_(config_.backends, config_.health, config_.ring_vnodes),
-      admission_(config_.admission) {
-  int listen_fd = -1;
-  if (!config_.unix_path.empty()) {
-    listen_fd = listen_unix(config_.unix_path);
-  } else {
-    listen_fd = listen_tcp(config_.tcp_port, tcp_port_);
-  }
-  listen_fd_.store(listen_fd);
+      admission_(config_.admission),
+      listener_(
+          config_.unix_path, config_.tcp_port,
+          [this](const std::string& line) {
+            try {
+              return handle(Json::parse(line)).dump();
+            } catch (const Error& e) {
+              return error_response("bad_request", e.what()).dump();
+            }
+          },
+          [this] { return stopping_.load(); }) {
   if (config_.health_thread) {
     pool_.start_health_checks();
   }
 }
 
-FleetRouter::~FleetRouter() {
-  stop();
-  if (!config_.unix_path.empty()) {
-    ::unlink(config_.unix_path.c_str());
-  }
-}
-
-std::string FleetRouter::endpoint() const {
-  if (!config_.unix_path.empty()) {
-    return "unix:" + config_.unix_path;
-  }
-  return "tcp:127.0.0.1:" + std::to_string(tcp_port_);
-}
+FleetRouter::~FleetRouter() { stop(); }
 
 void FleetRouter::run() {
-  while (!stopping_.load()) {
-    const int fd = ::accept(listen_fd_.load(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      break;  // listen socket closed by stop()
-    }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load()) {
-      ::close(fd);
-      break;
-    }
-    open_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
-  }
+  listener_.run();
   stop();
-}
-
-void FleetRouter::handle_connection(int fd) {
-  std::string buffer;
-  std::string line;
-  while (!stopping_.load()) {
-    const ReadLineStatus status = read_line_bounded(fd, buffer, line, kMaxLineBytes);
-    if (status == ReadLineStatus::kEof || status == ReadLineStatus::kError ||
-        status == ReadLineStatus::kTimeout) {
-      break;
-    }
-    std::string response;
-    if (status == ReadLineStatus::kOversized) {
-      response = oversized_line_error().dump();
-    } else {
-      if (line.empty()) {
-        continue;
-      }
-      try {
-        response = handle(Json::parse(line)).dump();
-      } catch (const Error& e) {
-        response = error_response("bad_request", e.what()).dump();
-      }
-    }
-    response.push_back('\n');
-    try {
-      write_all(fd, response);
-    } catch (const Error&) {
-      break;  // peer went away mid-response
-    }
-    if (stopping_.load()) {
-      const int listen_fd = listen_fd_.load();
-      if (listen_fd >= 0) {
-        ::shutdown(listen_fd, SHUT_RDWR);
-      }
-      break;
-    }
-  }
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  for (auto it = open_fds_.begin(); it != open_fds_.end(); ++it) {
-    if (*it == fd) {
-      open_fds_.erase(it);
-      break;
-    }
-  }
 }
 
 void FleetRouter::stop() {
   stopping_.store(true);
   pool_.stop_health_checks();
-  const int listen_fd = listen_fd_.exchange(-1);
-  if (listen_fd >= 0) {
-    ::shutdown(listen_fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : open_fds_) {
-      ::shutdown(fd, SHUT_RDWR);
-    }
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable() && t.get_id() != std::this_thread::get_id()) {
-      t.join();
-    } else if (t.joinable()) {
-      t.detach();  // a connection thread triggered the shutdown itself
-    }
-  }
-  if (listen_fd >= 0) {
-    ::close(listen_fd);
-  }
+  listener_.stop();
 }
 
 Json FleetRouter::handle(const Json& request) {

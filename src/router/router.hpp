@@ -34,11 +34,11 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "router/admission.hpp"
 #include "router/health.hpp"
+#include "service/listener.hpp"
 #include "service/server.hpp"
 
 namespace rqsim {
@@ -80,8 +80,8 @@ class FleetRouter {
   void run();
   void stop();
 
-  int tcp_port() const { return tcp_port_; }
-  std::string endpoint() const;
+  int tcp_port() const { return listener_.tcp_port(); }
+  std::string endpoint() const { return listener_.endpoint(); }
 
   /// Transport-free request handling (the accept loop and in-process tests
   /// share it). Thread-safe.
@@ -124,8 +124,6 @@ class FleetRouter {
   /// given), release admission, return the backend in-flight slot.
   void finish_job(std::uint64_t router_job, const Json* terminal_response);
 
-  void handle_connection(int fd);
-
   RouterConfig config_;
   BackendPool pool_;
   AdmissionController admission_;
@@ -140,12 +138,9 @@ class FleetRouter {
   std::atomic<std::uint64_t> rejected_quota_total_{0};
   std::atomic<std::uint64_t> rejected_no_backend_total_{0};
 
-  std::atomic<int> listen_fd_{-1};
-  int tcp_port_ = -1;
+  /// Set by stop() and by a "shutdown" request.
   std::atomic<bool> stopping_{false};
-  std::mutex conn_mu_;
-  std::vector<int> open_fds_;
-  std::vector<std::thread> conn_threads_;
+  JsonlListener listener_;  // last: its threads use the members above
 };
 
 }  // namespace rqsim

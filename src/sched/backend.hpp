@@ -1,6 +1,7 @@
 // Schedule visitors ("backends"): two interpretations of the sequential
 // scheduler stream, the independent specification the prefix-tree executor
-// is checked against (statevector execution itself is sched/tree_exec.hpp).
+// is checked against. No visitor touches amplitudes: every statevector
+// execution, sampled or enumerated, is sched/tree_exec.hpp.
 //
 //  - CountBackend: op/MSV accounting only — no amplitudes, so it scales to
 //    arbitrary qubit counts (used by the paper's 40-qubit experiments).
@@ -8,7 +9,7 @@
 //    experienced; the equivalence tests compare it against the trial's
 //    definition.
 //
-// Also the two state-advancing primitives every statevector path shares.
+// Also the two state-advancing primitives the tree executor applies.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +22,10 @@ namespace rqsim {
 
 // ---------------------------------------------------------------------------
 
-/// Apply the gates of layers [from, to) to a state (shared by the tree
-/// executor and the enumerator), in layer order and each layer's gate
-/// order. Registers above kBlockQubits go through the cache-blocked
-/// applier (sim/gate_runs.hpp), bitwise identical to the per-gate loop.
+/// Apply the gates of layers [from, to) to a state (the tree executor's
+/// advance), in layer order and each layer's gate order. Registers above
+/// kBlockQubits go through the cache-blocked applier (sim/gate_runs.hpp),
+/// bitwise identical to the per-gate loop.
 void apply_layers(const CircuitContext& ctx, StateVector& state, layer_index_t from,
                   layer_index_t to);
 

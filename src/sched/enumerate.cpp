@@ -1,15 +1,14 @@
 #include "sched/enumerate.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <optional>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "dm/density_matrix.hpp"
 #include "linalg/pauli.hpp"
-#include "sched/backend.hpp"
 #include "sched/order.hpp"
-#include "sim/measure.hpp"
+#include "sched/tree.hpp"
+#include "sched/tree_exec.hpp"
 
 namespace rqsim {
 
@@ -85,7 +84,7 @@ class Enumerator {
     for (const ErrorSite& site : sites_) {
       p0 *= 1.0 - site.rate;
     }
-    current_.events.clear();
+    current_.clear();
     emit(p0);
     if (max_errors_ > 0) {
       descend(0, p0, max_errors_);
@@ -97,7 +96,7 @@ class Enumerator {
     RQSIM_CHECK(out_.trials.size() < max_configs_,
                 "enumerate_error_configurations: configuration count exceeds limit; "
                 "reduce max_errors or raise max_configs");
-    out_.trials.push_back(current_);
+    out_.trials.push_back({current_, 0, 0});
     out_.probabilities.push_back(probability);
     out_.covered_mass += probability;
   }
@@ -114,13 +113,13 @@ class Enumerator {
         event.layer = site.layer;
         event.position = site.position;
         event.op = static_cast<std::uint8_t>(op + 1);
-        current_.events.push_back(event);
+        current_.push_back(event);
         const double prob = prob_so_far * site.op_probs[op] / without;
         emit(prob);
         if (remaining > 1) {
           descend(s + 1, prob, remaining - 1);
         }
-        current_.events.pop_back();
+        current_.pop_back();
       }
     }
   }
@@ -129,63 +128,38 @@ class Enumerator {
   std::size_t max_errors_;
   std::size_t max_configs_;
   WeightedTrialSet& out_;
-  Trial current_;
+  std::vector<ErrorEvent> current_;
 };
 
-// Visitor accumulating weight * outcome-distribution per finished trial.
-class WeightedDistBackend : public ScheduleVisitor {
+// Adds weight * outcome distribution of every finishing configuration, in
+// trial order within each group.
+class WeightedDistSink : public TreeTrialSink {
  public:
-  WeightedDistBackend(const CircuitContext& ctx, const std::vector<double>& weights,
-                      TruncatedDistribution& result)
-      : ctx_(ctx), weights_(weights), result_(result) {
-    stack_.emplace_back(ctx.circuit.num_qubits());
-    result_.max_live_states = 1;
-  }
+  WeightedDistSink(const std::vector<double>& weights, std::vector<double>& distribution)
+      : weights_(weights), distribution_(distribution) {}
 
-  void on_advance(std::size_t depth, layer_index_t from_layer,
-                  layer_index_t to_layer) override {
-    apply_layers(ctx_, stack_[depth], from_layer, to_layer);
-    result_.ops += ctx_.ops_in_layers(from_layer, to_layer);
-    cached_probs_.reset();
-  }
-
-  void on_fork(std::size_t depth) override {
-    stack_.push_back(stack_[depth]);
-    result_.max_live_states = std::max(result_.max_live_states, stack_.size());
-    cached_probs_.reset();
-  }
-
-  void on_error(std::size_t depth, const ErrorEvent& event) override {
-    apply_error_event(ctx_, stack_[depth], event);
-    result_.ops += 1;
-    cached_probs_.reset();
-  }
-
-  void on_finish(std::size_t depth, trial_index_t trial_index,
-                 const TrialView& trial) override {
-    (void)trial;
-    if (!cached_probs_) {
-      cached_probs_ =
-          measurement_probabilities(stack_[depth], ctx_.circuit.measured_qubits());
-    }
-    const double weight = weights_[trial_index];
-    for (std::size_t i = 0; i < cached_probs_->size(); ++i) {
-      result_.probabilities[i] += weight * (*cached_probs_)[i];
+  void on_finish_group(std::size_t node, std::size_t first_trial, std::size_t count,
+                       const StateVector& state,
+                       const std::vector<double>* probs) override {
+    (void)node;
+    (void)state;
+    for (std::size_t t = first_trial; t < first_trial + count; ++t) {
+      const double weight = weights_[t];
+      for (std::size_t i = 0; i < probs->size(); ++i) {
+        distribution_[i] += weight * (*probs)[i];
+      }
     }
   }
 
-  void on_drop(std::size_t depth) override {
-    (void)depth;
-    stack_.pop_back();
-    cached_probs_.reset();
+  /// Enumeration builds its tree without frame collapse.
+  void on_finish_frames(std::size_t, const std::vector<FrameTrial>&, const StateVector&,
+                        const std::vector<double>*) override {
+    throw Error("truncated_exact_distribution: unexpected frame-collapsed trials");
   }
 
  private:
-  const CircuitContext& ctx_;
   const std::vector<double>& weights_;
-  TruncatedDistribution& result_;
-  std::vector<StateVector> stack_;
-  std::optional<std::vector<double>> cached_probs_;
+  std::vector<double>& distribution_;
 };
 
 }  // namespace
@@ -202,20 +176,14 @@ WeightedTrialSet enumerate_error_configurations(const Circuit& circuit,
   Enumerator(sites, max_errors, max_configs, out).run();
 
   // Reorder trials and carry the probabilities along.
-  std::vector<std::size_t> order(out.trials.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return trial_order_less(out.trials[a], out.trials[b]);
-  });
-  WeightedTrialSet sorted;
-  sorted.covered_mass = out.covered_mass;
-  sorted.trials.reserve(order.size());
-  sorted.probabilities.reserve(order.size());
-  for (std::size_t idx : order) {
-    sorted.trials.push_back(std::move(out.trials[idx]));
-    sorted.probabilities.push_back(out.probabilities[idx]);
+  const std::vector<std::uint32_t> order = reorder_permutation(out.trials);
+  out.trials.reorder(order);
+  std::vector<double> probabilities(order.size());
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    probabilities[p] = out.probabilities[order[p]];
   }
-  return sorted;
+  out.probabilities = std::move(probabilities);
+  return out;
 }
 
 TruncatedDistribution truncated_exact_distribution(const Circuit& circuit,
@@ -223,18 +191,22 @@ TruncatedDistribution truncated_exact_distribution(const Circuit& circuit,
                                                    std::size_t max_errors) {
   RQSIM_CHECK(circuit.num_measured() > 0,
               "truncated_exact_distribution: circuit has no measurements");
-  WeightedTrialSet set = enumerate_error_configurations(circuit, noise, max_errors);
+  const WeightedTrialSet set = enumerate_error_configurations(circuit, noise, max_errors);
   const CircuitContext ctx(circuit);
 
   TruncatedDistribution result;
   result.covered_mass = set.covered_mass;
   result.num_configurations = set.trials.size();
   result.probabilities.assign(std::size_t{1} << circuit.num_measured(), 0.0);
-  const TrialSet trials(set.trials);
-  result.baseline_ops = baseline_op_count(ctx, trials);
+  result.baseline_ops = baseline_op_count(ctx, set.trials);
 
-  WeightedDistBackend backend(ctx, set.probabilities, result);
-  schedule_trials(ctx, trials, backend);
+  // At one thread the executor runs every chunk inline in child order and
+  // finishes each tail after its children: the sequential walker's finish
+  // order, so every sum accumulates in a fixed order.
+  const ExecTree tree = build_exec_tree(ctx, set.trials);
+  WeightedDistSink sink(set.probabilities, result.probabilities);
+  result.ops = execute_tree(ctx, tree, set.trials, TreeExecConfig{}, sink).ops;
+  result.max_live_states = tree.peak_demand;
 
   // Analytic measurement-flip channel on the accumulated distribution.
   std::vector<double> flips(circuit.num_measured());

@@ -5,9 +5,10 @@
 // ~ Binomial(#positions, ε): at NISQ rates almost all probability mass sits
 // at k ≤ 2-3. Instead of sampling trials, enumerate *every* error
 // configuration with at most `max_errors` errors together with its exact
-// probability, execute the configurations through the cached scheduler
-// (they sort into a perfect sharing order), and accumulate the exact
-// outcome distribution weighted by configuration probability. The residual
+// probability, order the configurations with Algorithm 1 (they sort into a
+// perfect sharing order), execute them on the prefix tree with the same
+// executor every sampled run uses (sched/tree_exec.hpp), and accumulate the
+// exact outcome distribution weighted by configuration probability. The residual
 // mass of the truncated tail bounds the result's total-variation error:
 //     TVD(truncated/mass, exact) <= (1 - mass).
 //
@@ -27,8 +28,9 @@
 namespace rqsim {
 
 struct WeightedTrialSet {
-  /// All configurations with <= max_errors errors, in reorder order.
-  std::vector<Trial> trials;
+  /// All configurations with <= max_errors errors, in reorder order (flip
+  /// masks and measurement seeds are 0).
+  TrialSet trials;
 
   /// probability[i] = exact probability of configuration i.
   std::vector<double> probabilities;
@@ -59,9 +61,9 @@ struct TruncatedDistribution {
   std::size_t num_configurations = 0;
 };
 
-/// Exact truncated outcome distribution via the cached scheduler, including
-/// the analytic measurement-flip channel. Statevector execution: circuit
-/// must fit in dense amplitudes.
+/// Exact truncated outcome distribution via the prefix-tree executor at one
+/// thread, including the analytic measurement-flip channel. Statevector
+/// execution: circuit must fit in dense amplitudes.
 TruncatedDistribution truncated_exact_distribution(const Circuit& circuit,
                                                    const NoiseModel& noise,
                                                    std::size_t max_errors);

@@ -17,12 +17,13 @@
 // one checkpoint, so the number of live states equals the recursion depth
 // plus one — the paper's MSV bound.
 //
-// Backends interpret the stream as pure accounting (CountBackend) or
-// per-trial operator traces (TraceBackend); the walker itself never touches
-// a state vector, which is what lets the 40-qubit scalability experiments
-// run without 2^40 amplitudes. Statevector execution runs the same schedule
-// as an explicit prefix tree (sched/tree.hpp), which the tree-plan verifier
-// pins to this walker's stream op for op.
+// Visitors interpret the stream as pure accounting (CountBackend), per-trial
+// operator traces (TraceBackend) or a recorded plan (PlanRecorder); neither
+// the walker nor any visitor touches a state vector, which is what lets the
+// 40-qubit scalability experiments run without 2^40 amplitudes. Statevector
+// execution — sampled runs and exact enumeration alike — runs the same
+// schedule as an explicit prefix tree (sched/tree.hpp), which the tree-plan
+// verifier pins to this walker's stream op for op.
 #pragma once
 
 #include <cstddef>

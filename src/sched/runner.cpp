@@ -315,6 +315,9 @@ PlanProof prove_noisy(const Circuit& circuit, const NoiseModel& noise,
 
 NoisyRunResult analyze_noisy(const Circuit& circuit, const NoiseModel& noise,
                              const NoisyRunConfig& config) {
+  RQSIM_CHECK(!config.frame_collapse,
+              "analyze_noisy: frame collapse is not counted here (the sequential "
+              "walker ignores it); prove the framed count with 'rqsim verify --frames'");
   circuit.validate();
   CircuitContext ctx(circuit);
   Rng rng(config.seed);

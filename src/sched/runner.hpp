@@ -241,6 +241,8 @@ PlanProof prove_noisy(const Circuit& circuit, const NoiseModel& noise,
                       const NoisyRunConfig& config);
 
 /// Accounting-only execution (no amplitudes). Valid for any qubit count.
+/// Throws on frame_collapse: the count is the unframed schedule's, and
+/// prove_noisy is what proves a framed tree's count.
 NoisyRunResult analyze_noisy(const Circuit& circuit, const NoiseModel& noise,
                              const NoisyRunConfig& config);
 

@@ -9,8 +9,6 @@
 
 namespace rqsim {
 
-namespace {
-
 Json error_response(const std::string& code, const std::string& detail) {
   Json response = Json::object();
   response.set("ok", Json(false));
@@ -18,6 +16,8 @@ Json error_response(const std::string& code, const std::string& detail) {
   response.set("detail", Json(detail));
   return response;
 }
+
+namespace {
 
 ExecutionMode mode_from_string(const std::string& mode) {
   if (mode == "baseline") {

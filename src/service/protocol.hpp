@@ -135,8 +135,12 @@ Json slo_to_json(const telemetry::SloTracker& slo);
 /// does so fleets can mix protocol versions.
 telemetry::SloTracker slo_from_json(const Json& json);
 
+/// {"ok":false,"error":code,"detail":detail}: the shape of every protocol
+/// error, from the server and the fleet router alike.
+Json error_response(const std::string& code, const std::string& detail);
+
 /// The response for a frame the handler never saw because it exceeded
-/// kMaxLineBytes. Shared by SimServer and the fleet router.
+/// kMaxLineBytes (sent by the shared JsonlListener, service/listener.hpp).
 Json oversized_line_error();
 
 class ProtocolHandler {

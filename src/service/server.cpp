@@ -1,12 +1,9 @@
 #include "service/server.hpp"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "common/error.hpp"
@@ -44,118 +41,23 @@ int finish_client_fd(int fd, const ClientOptions& options) {
 }  // namespace
 
 SimServer::SimServer(ServerConfig config)
-    : config_(std::move(config)), service_(config_.service), handler_(service_) {
-  int listen_fd = -1;
-  if (!config_.unix_path.empty()) {
-    listen_fd = listen_unix(config_.unix_path);
-  } else {
-    listen_fd = listen_tcp(config_.tcp_port, tcp_port_);
-  }
-  listen_fd_.store(listen_fd);
-}
+    : config_(std::move(config)),
+      service_(config_.service),
+      handler_(service_),
+      listener_(
+          config_.unix_path, config_.tcp_port,
+          [this](const std::string& line) { return handler_.handle_line(line); },
+          [this] { return handler_.shutdown_requested(); }) {}
 
-SimServer::~SimServer() {
-  stop();
-  if (!config_.unix_path.empty()) {
-    ::unlink(config_.unix_path.c_str());
-  }
-}
-
-std::string SimServer::endpoint() const {
-  if (!config_.unix_path.empty()) {
-    return "unix:" + config_.unix_path;
-  }
-  return "tcp:127.0.0.1:" + std::to_string(tcp_port_);
-}
+SimServer::~SimServer() { stop(); }
 
 void SimServer::run() {
-  while (!stopping_.load()) {
-    const int fd = ::accept(listen_fd_.load(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      break;  // listen socket closed by stop()
-    }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load()) {
-      ::close(fd);
-      break;
-    }
-    open_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
-  }
+  listener_.run();
   stop();
-}
-
-void SimServer::handle_connection(int fd) {
-  std::string buffer;
-  std::string line;
-  while (!stopping_.load()) {
-    const ReadLineStatus status = read_line_bounded(fd, buffer, line, kMaxLineBytes);
-    if (status == ReadLineStatus::kEof || status == ReadLineStatus::kError ||
-        status == ReadLineStatus::kTimeout) {
-      break;
-    }
-    std::string response;
-    if (status == ReadLineStatus::kOversized) {
-      response = oversized_line_error().dump();
-    } else {
-      if (line.empty()) {
-        continue;
-      }
-      response = handler_.handle_line(line);
-    }
-    response.push_back('\n');
-    try {
-      write_all(fd, response);
-    } catch (const Error&) {
-      break;  // peer went away mid-response
-    }
-    if (handler_.shutdown_requested()) {
-      stopping_.store(true);
-      // Unblock the accept loop so run() can return.
-      const int listen_fd = listen_fd_.load();
-      if (listen_fd >= 0) {
-        ::shutdown(listen_fd, SHUT_RDWR);
-      }
-      break;
-    }
-  }
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  for (auto it = open_fds_.begin(); it != open_fds_.end(); ++it) {
-    if (*it == fd) {
-      open_fds_.erase(it);
-      break;
-    }
-  }
 }
 
 void SimServer::stop() {
-  stopping_.store(true);
-  const int listen_fd = listen_fd_.exchange(-1);
-  if (listen_fd >= 0) {
-    ::shutdown(listen_fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : open_fds_) {
-      ::shutdown(fd, SHUT_RDWR);  // wake blocked reads; threads close the fds
-    }
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable() && t.get_id() != std::this_thread::get_id()) {
-      t.join();
-    } else if (t.joinable()) {
-      t.detach();  // a connection thread triggered the shutdown itself
-    }
-  }
-  if (listen_fd >= 0) {
-    ::close(listen_fd);
-  }
+  listener_.stop();
   service_.shutdown();
 }
 

@@ -2,23 +2,16 @@
 // SimService, and a line-oriented client used by the CLI verbs, the fleet
 // router (router/router.hpp) and tests.
 //
-// The server listens on a Unix-domain socket or a TCP port (pass port 0 to
-// bind an ephemeral port and read it back with tcp_port()). Each accepted
-// connection gets its own thread that reads '\n'-delimited requests and
-// writes one response line per request; a {"op":"shutdown"} request stops
-// the accept loop, drains open connections, and returns from run().
-// Request lines longer than kMaxLineBytes (service/protocol.hpp) are
-// discarded and answered with an "oversized_line" error — the connection
-// stays usable because the reader re-synchronizes on the next newline.
+// The server answers each request line of its JsonlListener
+// (service/listener.hpp) through a ProtocolHandler; a {"op":"shutdown"}
+// request stops the accept loop, drains open connections, shuts the
+// service's workers down, and returns from run().
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "service/listener.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
 
@@ -46,29 +39,23 @@ class SimServer {
   /// Accept loop; returns after stop() or a shutdown request.
   void run();
 
-  /// Stop the accept loop and close open connections (thread-safe).
+  /// Stop the accept loop, close open connections and shut the service
+  /// down (thread-safe).
   void stop();
 
   /// Actual bound TCP port (valid for TCP servers, also with tcp_port 0).
-  int tcp_port() const { return tcp_port_; }
+  int tcp_port() const { return listener_.tcp_port(); }
 
   /// Human-readable endpoint ("unix:/path" or "tcp:127.0.0.1:port").
-  std::string endpoint() const;
+  std::string endpoint() const { return listener_.endpoint(); }
 
   SimService& service() { return service_; }
 
  private:
-  void handle_connection(int fd);
-
   ServerConfig config_;
   SimService service_;
   ProtocolHandler handler_;
-  std::atomic<int> listen_fd_{-1};
-  int tcp_port_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::mutex conn_mu_;
-  std::vector<int> open_fds_;
-  std::vector<std::thread> conn_threads_;
+  JsonlListener listener_;  // last: its threads use the members above
 };
 
 /// Connection/request robustness policy of a ServiceClient. Transient

@@ -58,6 +58,9 @@ std::string SimService::validate_spec(const JobSpec& spec) {
       RQSIM_CHECK(spec.circuit.num_qubits() <= 30,
                   "statevector jobs are limited to 30 qubits; use analyze_only");
     }
+    RQSIM_CHECK(!spec.analyze_only || !spec.config.frame_collapse,
+                "analyze_only counts the unframed schedule; frame collapse needs a "
+                "statevector job");
     if (spec.config.num_threads > 1) {
       RQSIM_CHECK(!spec.analyze_only, "parallel execution is statevector-only");
       RQSIM_CHECK(spec.config.mode == ExecutionMode::kCachedReordered,

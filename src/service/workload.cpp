@@ -8,51 +8,67 @@
 
 namespace rqsim {
 
-Workload build_workload(const WorkloadSpec& spec) {
-  Circuit logical;
+Circuit workload_circuit(const WorkloadSpec& spec) {
   if (!spec.qasm.empty()) {
-    logical = from_qasm(spec.qasm);
-  } else if (!spec.circuit_spec.empty()) {
-    logical = make_named_circuit(spec.circuit_spec);
-  } else {
-    throw Error("workload: one of circuit_spec or qasm is required");
+    return from_qasm(spec.qasm);
   }
+  if (!spec.circuit_spec.empty()) {
+    return make_named_circuit(spec.circuit_spec);
+  }
+  throw Error("workload: one of circuit_spec or qasm is required");
+}
 
-  DeviceModel dev;
+std::optional<DeviceModel> named_device(const WorkloadSpec& spec,
+                                        unsigned circuit_qubits) {
+  const unsigned qubits = spec.device_qubits > 0 ? spec.device_qubits : circuit_qubits;
   if (spec.device == "yorktown") {
-    dev = yorktown_device();
-  } else if (spec.device == "yorktown-directed") {
-    dev = yorktown_device();
+    return yorktown_device();
+  }
+  if (spec.device == "yorktown-directed") {
+    DeviceModel dev = yorktown_device();
     dev.coupling = CouplingMap::yorktown_directed();
-  } else if (spec.device == "ideal") {
-    dev = ideal_device(spec.device_qubits > 0 ? spec.device_qubits
-                                              : logical.num_qubits());
-  } else if (spec.device == "artificial") {
-    dev = artificial_device(
-        spec.device_qubits > 0 ? spec.device_qubits : logical.num_qubits(),
-        spec.device_rate);
-  } else {
-    throw Error("workload: unknown device '" + spec.device +
-                "' (yorktown | yorktown-directed | artificial | ideal)");
+    return dev;
   }
-  if (spec.noise_scale != 1.0) {
-    dev.noise = dev.noise.scaled(spec.noise_scale);
+  if (spec.device == "ideal") {
+    return ideal_device(qubits);
   }
+  if (spec.device == "artificial") {
+    return artificial_device(qubits, spec.device_rate);
+  }
+  return std::nullopt;
+}
 
+bool fits_device(const Circuit& logical, const DeviceModel& device,
+                 const WorkloadSpec& spec) {
+  return spec.no_transpile || logical.num_qubits() <= device.coupling.num_qubits();
+}
+
+Workload prepare_workload(const Circuit& logical, DeviceModel device,
+                          const WorkloadSpec& spec) {
   Workload out;
-  out.device_name = dev.name;
-  out.noise = std::move(dev.noise);
+  out.device_name = device.name;
+  out.noise = spec.noise_scale != 1.0 ? device.noise.scaled(spec.noise_scale)
+                                      : std::move(device.noise);
   if (spec.no_transpile) {
     out.circuit = decompose_to_cx_basis(logical);
   } else {
-    RQSIM_CHECK(logical.num_qubits() <= dev.coupling.num_qubits(),
-                "workload: circuit has more qubits than the device; set "
-                "device_qubits or no_transpile");
-    TranspileResult compiled = transpile(logical, dev.coupling);
+    TranspileResult compiled = transpile(logical, device.coupling);
     out.swaps_inserted = compiled.swaps_inserted;
     out.circuit = std::move(compiled.circuit);
   }
   return out;
+}
+
+Workload build_workload(const WorkloadSpec& spec) {
+  const Circuit logical = workload_circuit(spec);
+  std::optional<DeviceModel> device = named_device(spec, logical.num_qubits());
+  if (!device) {
+    throw Error("workload: unknown device '" + spec.device + "' (" + kDeviceNames + ")");
+  }
+  RQSIM_CHECK(fits_device(logical, *device, spec),
+              "workload: circuit has more qubits than the device; set "
+              "device_qubits or no_transpile");
+  return prepare_workload(logical, std::move(*device), spec);
 }
 
 }  // namespace rqsim

@@ -5,10 +5,14 @@
 // named-circuit spec (bench_circuits/factory.hpp) or inline OpenQASM text,
 // plus a device selector — the same vocabulary the CLI `run` command uses.
 // `build_workload` resolves the description into a transpiled/decomposed
-// circuit and its device noise model; the CLI and the JSONL server share
-// this one resolution path so a submitted job equals the local run.
+// circuit and its device noise model. The CLI and the JSONL server share
+// this one resolution path, step by step, so a submitted job equals the
+// local run; the CLI only adds what stays local to it (reading a --qasm
+// file into `qasm`, a --device-csv calibration in place of a named device)
+// and its own error messages.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "circuit/circuit.hpp"
@@ -34,8 +38,34 @@ struct Workload {
   std::size_t swaps_inserted = 0;
 };
 
-/// Resolve a workload description. Throws rqsim::Error on unknown names,
-/// malformed QASM, or a circuit larger than the device.
+/// The device names named_device knows, as error messages list them.
+inline constexpr const char* kDeviceNames =
+    "yorktown | yorktown-directed | artificial | ideal";
+
+/// The logical circuit of `spec`: its inline QASM, else its named circuit.
+/// Throws rqsim::Error on malformed input or when both are empty.
+Circuit workload_circuit(const WorkloadSpec& spec);
+
+/// The device `spec.device` names, with unscaled rates; an artificial or
+/// ideal device with device_qubits 0 gets `circuit_qubits` qubits. Nullopt
+/// for an unknown name.
+std::optional<DeviceModel> named_device(const WorkloadSpec& spec,
+                                        unsigned circuit_qubits);
+
+/// Whether `logical` fits `device` as `spec` prepares it: always when
+/// no_transpile is set, else when the device has enough qubits.
+bool fits_device(const Circuit& logical, const DeviceModel& device,
+                 const WorkloadSpec& spec);
+
+/// `logical` prepared on `device`, which it must fit: every noise rate
+/// scaled by noise_scale, and the circuit transpiled onto the coupling map
+/// (or only decomposed, with no_transpile).
+Workload prepare_workload(const Circuit& logical, DeviceModel device,
+                          const WorkloadSpec& spec);
+
+/// Resolve a workload description through the steps above. Throws
+/// rqsim::Error on unknown names, malformed QASM, or a circuit larger than
+/// the device.
 Workload build_workload(const WorkloadSpec& spec);
 
 }  // namespace rqsim

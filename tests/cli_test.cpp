@@ -205,6 +205,30 @@ TEST(Cli, EnumerateCommand) {
   EXPECT_NE(result.out.find("TVD bound"), std::string::npos);
 }
 
+TEST(Cli, AnalyzeRejectsFrames) {
+  // analyze counts the unframed schedule; verify --frames proves the framed
+  // tree's count instead of silently reporting the wrong one.
+  const CliResult result = run({"analyze", "--circuit", "qft5", "--device", "yorktown",
+                                "--trials", "256", "--frames"});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_NE(result.err.find("rqsim verify --frames"), std::string::npos) << result.err;
+}
+
+TEST(Cli, EnumerateRejectsFlagsItWouldIgnore) {
+  const std::vector<std::vector<std::string>> rejected = {
+      {"--threads", "4"}, {"--threads", "0"}, {"--max-states", "2"}, {"--frames"}};
+  for (const std::vector<std::string>& flags : rejected) {
+    std::vector<std::string> args = {"enumerate", "--circuit", "bv4", "--max-errors", "1"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const CliResult result = run(args);
+    EXPECT_EQ(result.code, 1) << flags[0];
+    EXPECT_NE(result.err.find(flags[0]), std::string::npos) << result.err;
+  }
+  const CliResult defaults = run({"enumerate", "--circuit", "bv4", "--max-errors", "1",
+                                  "--threads", "1", "--max-states", "0"});
+  EXPECT_EQ(defaults.code, 0) << defaults.err;
+}
+
 TEST(Cli, DeviceCsvFlag) {
   const std::string path = "/tmp/rqsim_cli_device.csv";
   {

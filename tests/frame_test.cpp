@@ -286,7 +286,9 @@ TEST(Frame, FramesComposeWithBudgetAndUncompute) {
   baseline_config.mode = ExecutionMode::kBaseline;
   baseline_config.num_threads = 1;
   const NoisyRunResult baseline = run_noisy(circuit, noise, baseline_config);
-  const NoisyRunResult counted = analyze_noisy(circuit, noise, config);
+  NoisyRunConfig unframed_config = config;
+  unframed_config.frame_collapse = false;
+  const NoisyRunResult counted = analyze_noisy(circuit, noise, unframed_config);
   const NoisyRunResult framed = run_noisy(circuit, noise, config);
   EXPECT_EQ(framed.histogram, baseline.histogram);
   EXPECT_LT(framed.ops, counted.ops);

@@ -412,8 +412,13 @@ TEST(ServiceValidation, RejectsBadSpecsWithoutEnqueueing) {
   parallel_analyze.analyze_only = true;
   EXPECT_EQ(service.try_submit(parallel_analyze).status, SubmitStatus::kInvalid);
 
+  JobSpec framed_analyze = make_spec(100);
+  framed_analyze.config.frame_collapse = true;
+  framed_analyze.analyze_only = true;
+  EXPECT_EQ(service.try_submit(framed_analyze).status, SubmitStatus::kInvalid);
+
   EXPECT_EQ(service.stats().submitted, 0u);
-  EXPECT_EQ(service.stats().rejected, 3u);
+  EXPECT_EQ(service.stats().rejected, 4u);
   EXPECT_EQ(service.run_pending(), 0u);
 }
 

@@ -229,67 +229,6 @@ Gate Gate::make3(GateKind kind, qubit_t a, qubit_t b, qubit_t c) {
   return g;
 }
 
-Gate gate_inverse(const Gate& gate) {
-  Gate inv = gate;
-  switch (gate.kind) {
-    case GateKind::X:
-    case GateKind::Y:
-    case GateKind::Z:
-    case GateKind::H:
-    case GateKind::CX:
-    case GateKind::CZ:
-    case GateKind::SWAP:
-    case GateKind::CCX:
-      return inv;  // self-inverse
-    case GateKind::S:
-      inv.kind = GateKind::Sdg;
-      break;
-    case GateKind::Sdg:
-      inv.kind = GateKind::S;
-      break;
-    case GateKind::T:
-      inv.kind = GateKind::Tdg;
-      break;
-    case GateKind::Tdg:
-      inv.kind = GateKind::T;
-      break;
-    case GateKind::RX:
-    case GateKind::RY:
-    case GateKind::RZ:
-    case GateKind::P:
-    case GateKind::CP:
-      inv.params[0] = -gate.params[0];
-      break;
-    case GateKind::U2:
-      // u2(φ,λ) = u3(π/2, φ, λ); u3(θ,φ,λ)† = u3(-θ, -λ, -φ).
-      inv.kind = GateKind::U3;
-      inv.params = {-kPi / 2.0, -gate.params[1], -gate.params[0]};
-      break;
-    case GateKind::U3:
-      inv.params = {-gate.params[0], -gate.params[2], -gate.params[1]};
-      break;
-  }
-  cache_clifford(inv);
-  return inv;
-}
-
-bool gate_fp_exact_invertible(GateKind kind) {
-  switch (kind) {
-    case GateKind::X:
-    case GateKind::Y:
-    case GateKind::Z:
-    case GateKind::S:
-    case GateKind::Sdg:
-    case GateKind::CX:
-    case GateKind::CZ:
-    case GateKind::SWAP:
-    case GateKind::CCX:
-      return true;
-    default:
-      return false;
-  }
-}
-
 namespace {
 
 Mat2 u3_matrix(double theta, double phi, double lambda) {

@@ -93,19 +93,6 @@ struct Gate {
   static Gate make3(GateKind kind, qubit_t a, qubit_t b, qubit_t c);
 };
 
-/// Exact inverse of `gate` on the same operands: self-inverse kinds map to
-/// themselves, S↔Sdg, T↔Tdg, rotations negate their angle, and
-/// U2(φ,λ)† = U3(-π/2, -λ, -φ), U3(θ,φ,λ)† = U3(-θ, -λ, -φ).
-Gate gate_inverse(const Gate& gate);
-
-/// True when applying the gate and then its inverse restores every
-/// amplitude *bitwise*: the kind's kernel and its inverse's are pure
-/// permutation / ±1 / ±i operations (X, Y, Z, S, Sdg, CX, CZ, SWAP, CCX).
-/// H is unitary but 1/√2 rounds, so H·H drifts in the last ulp; same for
-/// the rotation family. The uncompute path may only rewind through kinds
-/// that pass this test.
-bool gate_fp_exact_invertible(GateKind kind);
-
 /// 2x2 matrix of a single-qubit gate (requires arity 1).
 Mat2 gate_matrix1(const Gate& gate);
 

@@ -307,10 +307,9 @@ void print_result(const NoisyRunResult& result, std::size_t num_measured,
       out << "  steals/fallbacks  : " << telem.steals << " / "
           << telem.inline_fallbacks << "\n";
     }
-    if (telem.frame_collapsed_trials > 0 || telem.uncomputations > 0) {
+    if (telem.frame_collapsed_trials > 0) {
       out << "  frame trials      : " << telem.frame_collapsed_trials << "  ("
           << telem.frame_ops << " frame ops)\n";
-      out << "  uncomputations    : " << telem.uncomputations << "\n";
     }
   }
 }

@@ -57,12 +57,6 @@ double DensityMatrix::purity() const {
   return acc;
 }
 
-void DensityMatrix::apply_unitary(const Mat2& u, qubit_t target) {
-  RQSIM_CHECK(target < num_qubits_, "DensityMatrix::apply_unitary: bad target");
-  apply_mat2(vec_, u, target);
-  apply_mat2(vec_, conj2(u), target + num_qubits_);
-}
-
 void DensityMatrix::apply_gate(const Gate& gate) {
   const int arity = gate.arity();
   RQSIM_CHECK(arity <= 2, "DensityMatrix::apply_gate: decompose 3-qubit gates first");

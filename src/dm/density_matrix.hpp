@@ -51,9 +51,6 @@ class DensityMatrix {
   /// Apply a unitary gate: ρ -> U ρ U†.
   void apply_gate(const Gate& gate);
 
-  /// Apply a general single-qubit unitary.
-  void apply_unitary(const Mat2& u, qubit_t target);
-
   /// Symmetric depolarizing channel on one qubit:
   /// ρ -> (1-p)ρ + (p/3)(XρX + YρY + ZρZ).
   void apply_depolarizing1(qubit_t target, double p);

@@ -96,7 +96,6 @@ void fill_tree_result(NoisyRunResult& result, const CircuitContext& ctx,
   result.telemetry.peak_live_states = stats.max_live_states;
   result.telemetry.frame_collapsed_trials = stats.frame_collapsed_trials;
   result.telemetry.frame_ops = stats.frame_ops;
-  result.telemetry.uncomputations = stats.uncomputations;
   fill_common(result, ctx, trials);
 }
 

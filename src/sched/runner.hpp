@@ -149,11 +149,6 @@ struct TelemetrySummary {
   /// propagation cost (integer bookkeeping, never matvec ops).
   std::uint64_t frame_collapsed_trials = 0;
   std::uint64_t frame_ops = 0;
-
-  /// In-place buffer restores by inverse replay: refused forks routed
-  /// through uncomputation instead of inline execution under a tight MSV
-  /// budget.
-  std::uint64_t uncomputations = 0;
 };
 
 struct NoisyRunResult {

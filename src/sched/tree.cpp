@@ -30,18 +30,6 @@ class TreeBuilder {
     for (const qubit_t q : ctx.circuit.measured_qubits()) {
       measured_mask_ |= std::uint64_t{1} << q;
     }
-    // exact_suffix_[l]: every gate in layers [l, num_layers) applies and
-    // inverts bitwise (the uncompute whitelist). Error injections are
-    // Paulis — always exact — so this suffix alone decides uncompute_ok.
-    const std::size_t num_layers = ctx.num_layers();
-    exact_suffix_.assign(num_layers + 1, true);
-    for (std::size_t l = num_layers; l-- > 0;) {
-      bool ok = exact_suffix_[l + 1];
-      for (const gate_index_t g : ctx.layering.layers[l]) {
-        ok = ok && gate_fp_exact_invertible(ctx.circuit.gates()[g].kind);
-      }
-      exact_suffix_[l] = ok;
-    }
   }
 
   /// `sorted`: the orderer's current order is already the reorder order.
@@ -96,7 +84,6 @@ class TreeBuilder {
     node.entry_frontier = frontier;
     node.trial = t;
     node.peak_demand = 1;
-    node.uncompute_ok = exact_suffix_[frontier];
     node.subtree_ops = replay_ops(orderer_.events(t), event_depth, frontier);
     tree_->planned_ops += node.subtree_ops;
     tree_->nodes.push_back(std::move(node));
@@ -245,7 +232,6 @@ class TreeBuilder {
   const ScheduleOptions& options_;
   ExecTree* tree_ = nullptr;
   std::uint64_t measured_mask_ = 0;
-  std::vector<bool> exact_suffix_;
 };
 
 // Re-emit the depth-first schedule of a subtree. The emission order is the

@@ -103,13 +103,6 @@ struct TreeNode {
   /// tree was built with ScheduleOptions::frame_collapse.
   std::vector<FrameTrial> frame_trials;
 
-  /// kReplay: every gate in layers [entry_frontier, num_layers) is
-  /// fp-exact-invertible (circuit/gate.hpp) — error injections are Paulis
-  /// and always are — so the executor may run this leaf *in place* on a
-  /// shared buffer and restore it bitwise by applying the inverse sequence,
-  /// instead of falling back inline when the MSV token bank refuses a fork.
-  bool uncompute_ok = false;
-
   /// Buffers needed to execute this subtree sequentially, including the
   /// node's own (= the sequential walker's stack growth below this point).
   /// The executor's admission control reserves this many states before

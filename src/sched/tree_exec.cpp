@@ -46,7 +46,6 @@ telemetry::Counter g_tasks("tree_exec.tasks");
 telemetry::Counter g_chunk_tasks("tree_exec.chunk_tasks");
 telemetry::Counter g_frame_collapsed_trials("sim.frame_collapsed_trials");
 telemetry::Counter g_frame_ops("sim.frame_ops");
-telemetry::Counter g_uncomputations("sim.uncomputations");
 telemetry::Histogram g_worker_ops("tree_exec.worker_ops");
 
 struct Task {
@@ -61,11 +60,6 @@ struct Task {
   /// MSV-budget tokens held by this task's subtree (0 when the budget is
   /// unlimited or the subtree runs inline under its parent's reservation).
   std::size_t reserved = 0;
-  /// Uncompute mode: the chunk's replay leaves run in place on one
-  /// materialized buffer (reserved == 1), restored bitwise by inverse
-  /// gates between trials. Taken when the full banker reservation was
-  /// refused but every leaf in the chunk is uncompute_ok.
-  bool uncompute = false;
 };
 
 class TreeExecutor {
@@ -78,15 +72,10 @@ class TreeExecutor {
         trials_(trials),
         sink_(sink),
         num_workers_(std::max<std::size_t>(1, config.num_threads)),
-        fuse_gates_(config.fuse_gates),
-        // Uncompute rewinds gate-by-gate with synthesized inverses; fused
-        // forward segments would not be restored bitwise, so fusion
-        // disables the path.
-        allow_uncompute_(config.allow_uncompute && !config.fuse_gates),
         budget_(config.max_states),
         pool_(kMaxPooledBuffers, num_workers_),
         workers_(num_workers_) {
-    if (fuse_gates_) {
+    if (config.fuse_gates) {
       for (Worker& w : workers_) {
         w.fusion = std::make_unique<FusionCache>(ctx.circuit, ctx.layering);
       }
@@ -171,15 +160,12 @@ class TreeExecutor {
       stats.inline_fallbacks += w.inline_fallbacks;
       stats.frame_collapsed_trials += w.frame_trials;
       stats.frame_ops += w.frame_ops;
-      stats.uncomputations += w.uncomputations;
-      stats.uncompute_ops += w.uncompute_ops;
       g_worker_ops.record(w.ops);
     }
     g_matvec_ops.add(stats.ops);
     g_forks.add(stats.fork_copies);
     g_frame_collapsed_trials.add(stats.frame_collapsed_trials);
     g_frame_ops.add(stats.frame_ops);
-    g_uncomputations.add(stats.uncomputations);
     stats.max_live_states = max_live_.load(std::memory_order_relaxed);
     stats.pool_reuses = pool_.reuse_count();
     stats.pool_allocs = pool_.alloc_count();
@@ -200,8 +186,6 @@ class TreeExecutor {
     std::uint64_t inline_fallbacks = 0;
     std::uint64_t frame_trials = 0;
     std::uint64_t frame_ops = 0;
-    std::uint64_t uncomputations = 0;
-    opcount_t uncompute_ops = 0;
   };
 
   // ---- pool pre-warm ----------------------------------------------------
@@ -380,12 +364,7 @@ class TreeExecutor {
       if (abort_.load(std::memory_order_relaxed)) {
         drop_handle(w, task.handle);
       } else if (task.chunk_end != 0) {
-        if (task.uncompute) {
-          exec_chunk_uncompute(w, task.node, task.chunk_begin, task.chunk_end,
-                               task.handle);
-        } else {
-          exec_chunk(w, task.node, task.chunk_begin, task.chunk_end, task.handle);
-        }
+        exec_chunk(w, task.node, task.chunk_begin, task.chunk_end, task.handle);
       } else {
         exec_node(w, task.node, task.handle);
       }
@@ -455,67 +434,17 @@ class TreeExecutor {
         idle_cv_.notify_one();
         return;
       }
-      // Reservation failed: the MSV budget is exhausted. Route the
-      // refusal through uncomputation when the chunk allows it — every
-      // child an uncompute-capable replay leaf, so the whole chunk runs on
-      // one materialized buffer, each leaf restored bitwise by inverse
-      // gates before the next starts, instead of each pinning its own
-      // fork.
-      if (allow_uncompute_ && chunk_uncompute_ok(parent, begin, end)) {
-        // Concurrent when a single token is free (the chunk's snapshot is
-        // its only materialization)...
-        if (try_reserve(1)) {
-          note_token_occupancy();
-          telemetry::trace_instant("tree_exec.uncompute_dispatch");
-          outstanding_.fetch_add(1, std::memory_order_acq_rel);
-          {
-            Task task;
-            task.node = parent;
-            task.chunk_begin = begin;
-            task.chunk_end = end;
-            task.handle = std::move(handle);
-            task.reserved = 1;
-            task.uncompute = true;
-            std::lock_guard<std::mutex> lock(workers_[w].mutex);
-            workers_[w].deque.push_back(std::move(task));
-          }
-          idle_cv_.notify_one();
-          return;
-        }
-        // ...otherwise on the parent's thread, inside the parent's own
-        // reservation: the materialized snapshot fits the same slack the
-        // inline fallback would use (a parent's peak is 1 + max child
-        // peak), but replay-then-rewind needs no per-leaf CoW copy, so
-        // this is never counted as an inline fallback.
-        telemetry::trace_instant("tree_exec.uncompute_inline");
-        exec_chunk_uncompute(w, parent, begin, end, handle);
-        return;
-      }
-      // Last resort: the chunk runs inline instead of spawning. Inline
-      // execution stays within the parent's own reservation — the chunk
-      // shares the parent's current buffer (no extra pin) and a parent's
-      // peak is 1 + max(children peaks), so its slack always covers one
-      // child subtree at a time. Progress is guaranteed, never a deadlock.
+      // Reservation failed: the MSV budget is exhausted, so the chunk runs
+      // inline instead of spawning. Inline execution stays within the
+      // parent's own reservation — the chunk shares the parent's current
+      // buffer (no extra pin) and a parent's peak is 1 + max(children
+      // peaks), so its slack always covers one child subtree at a time.
+      // Progress is guaranteed, never a deadlock.
       workers_[w].inline_fallbacks += 1;
       g_inline_fallbacks.increment();
       telemetry::trace_instant("tree_exec.inline_fallback");
     }
     exec_chunk(w, parent, begin, end, handle);
-  }
-
-  /// True when children [begin, end) of `parent` are all replay leaves
-  /// whose remaining path is fp-exact-invertible — the precondition for
-  /// running the chunk in uncompute mode on a single token.
-  bool chunk_uncompute_ok(std::size_t parent, std::size_t begin,
-                          std::size_t end) const {
-    const std::vector<std::size_t>& children = tree_.nodes[parent].children;
-    for (std::size_t i = begin; i < end; ++i) {
-      const TreeNode& child = tree_.nodes[children[i]];
-      if (child.kind != TreeNode::Kind::kReplay || !child.uncompute_ok) {
-        return false;
-      }
-    }
-    return true;
   }
 
   // ---- node execution ---------------------------------------------------
@@ -635,113 +564,6 @@ class TreeExecutor {
     drop_handle(w, handle);
   }
 
-  // ---- uncompute fallback ------------------------------------------------
-
-  /// Uncompute-mode chunk: every child is an uncompute_ok replay leaf. The
-  /// chunk's snapshot materializes once (the single reserved token); each
-  /// non-final leaf replays forward *in place*, finishes, then rewinds the
-  /// buffer bitwise with inverse gates so the next leaf starts from the
-  /// identical entry state a fork would have given it. The final leaf
-  /// consumes the buffer like the normal move path. Results are therefore
-  /// bitwise identical to the forking schedule — uncompute trades extra
-  /// (inverse) ops for concurrency under a tight MSV budget, and those
-  /// ops are billed to uncompute_ops, never to `ops`.
-  void exec_chunk_uncompute(std::size_t w, std::size_t parent, std::size_t begin,
-                            std::size_t end, CowState& handle) {
-    const std::vector<std::size_t>& children = tree_.nodes[parent].children;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (abort_.load(std::memory_order_relaxed)) {
-        break;
-      }
-      if (i + 1 == end) {
-        CowState entry = move_entry(w, handle);
-        exec_node(w, children[i], entry);
-        break;
-      }
-      // The schedule fork this leaf was planned with is realized as
-      // replay-then-rewind on the shared buffer; it still counts as a fork
-      // so fork_copies == planned_forks holds at every thread count.
-      telemetry::trace_instant("tree_exec.fork");
-      workers_[w].fork_copies += 1;
-      StateVector& state = writable(w, handle);
-      exec_replay_in_place(w, children[i], state);
-      uncompute_replay(w, children[i], state);
-      workers_[w].uncomputations += 1;
-      telemetry::trace_instant("tree_exec.uncompute");
-    }
-    drop_handle(w, handle);
-  }
-
-  /// Forward body of exec_replay on an already-materialized buffer (no
-  /// handle lifecycle): replays the trial's remaining events, finishes it.
-  void exec_replay_in_place(std::size_t w, std::size_t idx, StateVector& state) {
-    const TreeNode& node = tree_.nodes[idx];
-    const TrialView trial = trials_[node.trial];
-    layer_index_t frontier = node.entry_frontier;
-    for (std::size_t k = node.event_depth; k < trial.events.size(); ++k) {
-      const ErrorEvent& event = trial.events[k];
-      const layer_index_t target = event.layer + 1;
-      if (target > frontier) {
-        advance(w, state, frontier, target);
-        frontier = target;
-      }
-      apply_error_event(ctx_, state, event);
-      workers_[w].ops += 1;
-    }
-    const auto total = static_cast<layer_index_t>(ctx_.num_layers());
-    if (total > frontier) {
-      advance(w, state, frontier, total);
-    }
-    finish_group(idx, node.trial, 1, state);
-  }
-
-  /// Rewind exec_replay_in_place bitwise: apply the inverse of every
-  /// forward step in reverse order. Valid only for uncompute_ok leaves —
-  /// every gate kind on the path is fp-exact-invertible and every error is
-  /// a self-inverse Pauli, so the buffer lands on the exact amplitudes it
-  /// entered with.
-  void uncompute_replay(std::size_t w, std::size_t idx, StateVector& state) {
-    const TreeNode& node = tree_.nodes[idx];
-    const TrialView trial = trials_[node.trial];
-    // Recompute the forward segment boundaries.
-    struct Segment {
-      layer_index_t from = 0;
-      layer_index_t to = 0;         // advance over [from, to) when to > from
-      const ErrorEvent* event = nullptr;  // error applied after the advance
-    };
-    std::vector<Segment> segments;
-    layer_index_t frontier = node.entry_frontier;
-    for (std::size_t k = node.event_depth; k < trial.events.size(); ++k) {
-      const ErrorEvent& event = trial.events[k];
-      Segment seg;
-      seg.from = frontier;
-      seg.to = std::max(frontier, static_cast<layer_index_t>(event.layer + 1));
-      seg.event = &event;
-      frontier = seg.to;
-      segments.push_back(seg);
-    }
-    const auto total = static_cast<layer_index_t>(ctx_.num_layers());
-    if (total > frontier) {
-      segments.push_back({frontier, total, nullptr});
-    }
-    Worker& worker = workers_[w];
-    for (std::size_t s = segments.size(); s-- > 0;) {
-      const Segment& seg = segments[s];
-      if (seg.event != nullptr) {
-        // Pauli errors are their own bitwise inverse.
-        apply_error_event(ctx_, state, *seg.event);
-        worker.uncompute_ops += 1;
-      }
-      for (layer_index_t l = seg.to; l-- > seg.from;) {
-        const std::vector<gate_index_t>& layer = ctx_.layering.layers[l];
-        for (std::size_t g = layer.size(); g-- > 0;) {
-          apply_gate(state, gate_inverse(ctx_.circuit.gates()[layer[g]]));
-        }
-      }
-      worker.uncompute_ops += ctx_.ops_in_layers(seg.from, seg.to);
-    }
-  }
-
   // ---- trial finishing ---------------------------------------------------
 
   void finish_group(std::size_t node, std::size_t first, std::size_t count,
@@ -785,8 +607,6 @@ class TreeExecutor {
   const TrialSet& trials_;
   TreeTrialSink& sink_;
   const std::size_t num_workers_;
-  const bool fuse_gates_;
-  const bool allow_uncompute_;
   const std::size_t budget_;
   std::size_t effective_budget_ = 0;
   opcount_t chunk_target_ = 1;

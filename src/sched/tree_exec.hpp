@@ -100,17 +100,6 @@ struct TreeExecConfig {
   /// Advance through the gate-fusion engine (one FusionCache per worker —
   /// the cache memoizes lazily and is not thread-safe).
   bool fuse_gates = false;
-
-  /// When the MSV token bank refuses a chunk's reservation, try running it
-  /// as an *uncompute* task first (1 token: the chunk's replay leaves run
-  /// in place on one buffer, restored between trials by inverse gates)
-  /// before falling back to inline execution. Requires the leaves' paths to
-  /// be fp-exact-invertible (TreeNode::uncompute_ok) and is skipped under
-  /// fuse_gates (fused forward segments are not inverted gate-by-gate).
-  /// The restore is exact up to the sign of zero amplitudes: Z-type phases
-  /// (Z, S, Sdg, CZ and Pauli Z errors) can leave -0.0 where +0.0 was, which
-  /// changes no nonzero amplitude, probability or sampled outcome.
-  bool allow_uncompute = true;
 };
 
 /// Execution counters (results flow through the sink).
@@ -150,14 +139,6 @@ struct TreeExecStats {
   /// bookkeeping, never part of `ops`.
   std::uint64_t frame_collapsed_trials = 0;
   std::uint64_t frame_ops = 0;
-
-  /// Uncompute fallback: in-place buffer restores performed when a refused
-  /// fork was routed through inverse replay instead of inline execution,
-  /// and the inverse-gate ops those restores applied. uncompute_ops is
-  /// *extra* work (not part of `ops`, which stays == planned_ops), traded
-  /// for concurrency under tight MSV budgets.
-  std::uint64_t uncomputations = 0;
-  opcount_t uncompute_ops = 0;
 };
 
 /// Execute `tree` over `trials` with `config.num_threads` workers, feeding

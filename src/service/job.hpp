@@ -78,6 +78,10 @@ struct JobResult {
   /// Trace id the job ran under (copied from JobSpec; 0 = untraced).
   std::uint64_t trace_id = 0;
 
+  /// Measured bits of the job's circuit: the width of its histogram keys
+  /// as bitstrings.
+  std::size_t num_measured = 0;
+
   /// Batch attribution. batch_size == 1 means the job ran standalone and
   /// batch_ops == solo_ops == run.ops. In a merged batch, batch_ops is the
   /// combined op count of the whole merged schedule, and solo_ops is what

@@ -266,7 +266,7 @@ telemetry::MetricsSnapshot metrics_snapshot_from_json(const Json& json) {
   return snapshot;
 }
 
-Json job_result_to_json(const JobResult& result, std::size_t num_measured) {
+Json job_result_to_json(const JobResult& result) {
   Json json = Json::object();
   json.set("ops", Json(result.run.ops));
   json.set("baseline_ops", Json(result.run.baseline_ops));
@@ -296,13 +296,12 @@ Json job_result_to_json(const JobResult& result, std::size_t num_measured) {
     summary.set("peak_live_states", Json(telem.peak_live_states));
     summary.set("frame_collapsed_trials", Json(telem.frame_collapsed_trials));
     summary.set("frame_ops", Json(telem.frame_ops));
-    summary.set("uncomputations", Json(telem.uncomputations));
     json.set("telemetry", std::move(summary));
   }
   if (!result.run.histogram.empty()) {
     Json histogram = Json::object();
     for (const auto& [outcome, count] : result.run.histogram) {
-      histogram.set(to_bitstring(outcome, static_cast<unsigned>(num_measured)),
+      histogram.set(to_bitstring(outcome, static_cast<unsigned>(result.num_measured)),
                     Json(count));
     }
     json.set("histogram", std::move(histogram));
@@ -445,11 +444,9 @@ bool ProtocolHandler::shutdown_requested() const {
 
 Json ProtocolHandler::handle_submit(const Json& request) {
   JobSpec spec;
-  std::size_t num_measured = 0;
   try {
     RQSIM_CHECK(request.has("workload"), "submit: missing 'workload'");
     Workload workload = build_workload(workload_from_json(request.at("workload")));
-    num_measured = workload.circuit.num_measured();
     spec.circuit = std::move(workload.circuit);
     spec.noise = std::move(workload.noise);
     spec.config.num_trials = static_cast<std::size_t>(request.get_u64("trials", 1024));
@@ -478,10 +475,6 @@ Json ProtocolHandler::handle_submit(const Json& request) {
   const SubmitOutcome outcome = service_.try_submit(std::move(spec));
   switch (outcome.status) {
     case SubmitStatus::kAccepted: {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        job_measured_[outcome.job_id] = num_measured;
-      }
       Json response = Json::object();
       response.set("ok", Json(true));
       response.set("job", Json(outcome.job_id));
@@ -528,15 +521,7 @@ Json ProtocolHandler::job_status_response(std::uint64_t job_id) {
   const std::optional<JobResult> result = service_.result(job_id);
   if (result) {
     if (result->state == JobState::kDone) {
-      std::size_t num_measured = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it = job_measured_.find(job_id);
-        if (it != job_measured_.end()) {
-          num_measured = it->second;
-        }
-      }
-      response.set("result", job_result_to_json(*result, num_measured));
+      response.set("result", job_result_to_json(*result));
     } else if (result->state == JobState::kFailed) {
       response.set("detail", Json(result->error));
     }

@@ -41,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 
@@ -108,9 +107,9 @@ WorkloadSpec workload_from_json(const Json& json);
 /// Build a complete submit request line (client side).
 Json make_submit_request(const WorkloadSpec& workload, const SubmitParams& params);
 
-/// Serialize a terminal job result. `num_measured` formats histogram keys
-/// as bitstrings (0 = no histogram expected).
-Json job_result_to_json(const JobResult& result, std::size_t num_measured);
+/// Serialize a terminal job result; histogram keys are bitstrings of
+/// result.num_measured bits.
+Json job_result_to_json(const JobResult& result);
 
 /// Serialize a metrics snapshot: counters and gauges become numbers,
 /// histograms become {count, sum, buckets}. Used by the `stats` protocol
@@ -166,8 +165,6 @@ class ProtocolHandler {
   SimService& service_;
   mutable std::mutex mu_;
   bool shutdown_requested_ = false;
-  // Measured-bit count per job, for histogram bitstring formatting.
-  std::map<std::uint64_t, std::size_t> job_measured_;
 };
 
 }  // namespace rqsim

@@ -107,6 +107,7 @@ SubmitOutcome SimService::try_submit(JobSpec spec) {
   job.spec = std::move(spec);
   job.submitted_at = clock_now();
   job.result.job_id = id;
+  job.result.num_measured = job.spec.circuit.num_measured();
   queue_.push_back(id);
   ++stats_.submitted;
   g_submitted.increment();

@@ -83,11 +83,6 @@ std::uint64_t sample_outcome_permuted(const std::vector<double>& probs,
   return probs.size() - 1;
 }
 
-std::uint64_t sample_state(const StateVector& state,
-                           const std::vector<qubit_t>& measured_qubits, Rng& rng) {
-  return sample_outcome(measurement_probabilities(state, measured_qubits), rng);
-}
-
 double total_variation_distance(const OutcomeHistogram& a, const OutcomeHistogram& b) {
   std::uint64_t total_a = 0;
   std::uint64_t total_b = 0;

@@ -34,10 +34,6 @@ std::uint64_t sample_outcome(const std::vector<double>& probs, Rng& rng);
 std::uint64_t sample_outcome_permuted(const std::vector<double>& probs,
                                       std::uint64_t flip, Rng& rng);
 
-/// Sample directly from a state (convenience for examples).
-std::uint64_t sample_state(const StateVector& state,
-                           const std::vector<qubit_t>& measured_qubits, Rng& rng);
-
 /// Histogram of sampled outcomes; key encodes bits as in sample_outcome.
 using OutcomeHistogram = std::map<std::uint64_t, std::uint64_t>;
 

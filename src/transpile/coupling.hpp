@@ -29,9 +29,6 @@ class CouplingMap {
   /// (control -> target): 1->0, 2->0, 2->1, 3->2, 3->4, 4->2.
   static CouplingMap yorktown_directed();
 
-  /// Mark the map as directed: `edges` order is (control, target) and
-  /// cx_allowed() only accepts that orientation.
-  void set_directed(bool directed) { directed_ = directed; }
   bool is_directed() const { return directed_; }
 
   /// True if a CX with this (control, target) orientation is native.

@@ -743,37 +743,7 @@ PlanProof PlanVerifier::verify_tree_plan(const TrialSet& trials,
                         " were supplied");
   }
 
-  // Pass 0a: replay leaves' uncompute_ok flags, re-derived from the gate
-  // whitelist. The executor restores buffers *bitwise* on the strength of
-  // this flag, so a corrupted flag is a correctness bug, not a perf one.
-  const auto total_layers = static_cast<layer_index_t>(ctx_.num_layers());
-  for (std::size_t ni = 0; ni < tree.nodes.size(); ++ni) {
-    const TreeNode& node = tree.nodes[ni];
-    if (node.kind != TreeNode::Kind::kReplay) {
-      continue;
-    }
-    bool exact = true;
-    for (layer_index_t l = node.entry_frontier; exact && l < total_layers; ++l) {
-      for (const gate_index_t g : ctx_.layering.layers[l]) {
-        if (!gate_fp_exact_invertible(ctx_.circuit.gates()[g].kind)) {
-          exact = false;
-          break;
-        }
-      }
-    }
-    if (node.uncompute_ok != exact) {
-      return fail_trial(node.trial,
-                        "replay node " + std::to_string(ni) + " (trial " +
-                            std::to_string(node.trial) + ") claims uncompute_ok=" +
-                            (node.uncompute_ok ? "true" : "false") +
-                            " but layers [" + std::to_string(node.entry_frontier) +
-                            ", " + std::to_string(total_layers) + ") are " +
-                            (exact ? "entirely" : "not all") +
-                            " fp-exact-invertible");
-    }
-  }
-
-  // Pass 0b: frame algebra. Every recorded FrameTrial is re-proved by
+  // Pass 0: frame algebra. Every recorded FrameTrial is re-proved by
   // numeric matrix conjugation (nothing shared with the builder's lookup
   // tables) and must satisfy the purity rules. This runs before the stream
   // passes so a wrongly propagated frame is named precisely.

@@ -214,8 +214,7 @@ class PlanVerifier {
   /// model mirrors the builder's collapse decisions, and the op-for-op
   /// stream comparison is skipped — a collapsed tree is deliberately
   /// *cheaper* than the sequential stream, which is the saving recorded in
-  /// PlanProof::frame_saved_ops. Replay leaves additionally get their
-  /// uncompute_ok flag re-derived from the gate whitelist.
+  /// PlanProof::frame_saved_ops.
   PlanProof verify_tree_plan(const TrialSet& trials,
                              const ExecTree& tree) const;
 

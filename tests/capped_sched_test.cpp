@@ -3,6 +3,10 @@
 // monotonically for memory.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "bench_circuits/ghz.hpp"
 #include "bench_circuits/qft.hpp"
 #include "bench_circuits/qv.hpp"
 #include "common/error.hpp"
@@ -24,13 +28,16 @@ struct Workload {
   CircuitContext ctx;
   std::vector<Trial> trials;
 
-  Workload(unsigned qubits, double rate, std::size_t n, std::uint64_t seed)
-      : circuit(decompose_to_cx_basis(make_qft(qubits))), ctx(circuit) {
-    const NoiseModel noise = NoiseModel::uniform(qubits, rate, rate * 4, 0.02);
+  Workload(Circuit c, const NoiseModel& noise, std::size_t n, std::uint64_t seed)
+      : circuit(std::move(c)), ctx(circuit) {
     Rng rng(seed);
     trials = generate_trials(circuit, ctx.layering, noise, n, rng);
     reorder_trials(trials);
   }
+
+  Workload(unsigned qubits, double rate, std::size_t n, std::uint64_t seed)
+      : Workload(decompose_to_cx_basis(make_qft(qubits)),
+                 NoiseModel::uniform(qubits, rate, rate * 4, 0.02), n, seed) {}
 };
 
 TEST(CappedScheduler, RespectsBudget) {
@@ -94,23 +101,42 @@ TEST(CappedScheduler, RejectsCapOfOne) {
   EXPECT_THROW(schedule_trials(w.ctx, TrialSet(w.trials), backend, options), Error);
 }
 
+/// Run `w` under `cap` on `threads` workers: every final state must be
+/// byte-identical to the trial simulated on its own.
+void expect_bitwise_under_budget(const Workload& w, std::size_t cap,
+                                 std::size_t threads) {
+  ScheduleOptions options;
+  options.max_states = cap;
+  const RecordedRun result = run_recorded(w.ctx, w.trials, threads, options);
+  ASSERT_EQ(result.final_states.size(), w.trials.size());
+  for (std::size_t i = 0; i < w.trials.size(); ++i) {
+    EXPECT_TRUE(result.final_states[i].bitwise_equal(simulate_trial(w.ctx, w.trials[i])))
+        << "cap=" << cap << " threads=" << threads << " trial=" << i;
+  }
+  if (cap != 0) {
+    EXPECT_LE(result.tree.peak_demand, cap);
+    EXPECT_LE(result.stats.max_live_states, cap);
+  }
+}
+
 TEST(CappedScheduler, BitwiseCorrectUnderTightBudget) {
   // The crucial property: capping changes scheduling, never results.
   Workload w(4, 0.08, 400, 6);
   for (std::size_t cap : {2u, 3u, 0u}) {
-    ScheduleOptions options;
-    options.max_states = cap;
     for (const std::size_t threads : {1u, 4u}) {
-      const RecordedRun result = run_recorded(w.ctx, w.trials, threads, options);
-      ASSERT_EQ(result.final_states.size(), w.trials.size());
-      for (std::size_t i = 0; i < w.trials.size(); ++i) {
-        EXPECT_TRUE(
-            result.final_states[i].bitwise_equal(simulate_trial(w.ctx, w.trials[i])))
-            << "cap=" << cap << " threads=" << threads << " trial=" << i;
-      }
-      if (cap != 0) {
-        EXPECT_LE(result.tree.peak_demand, cap);
-        EXPECT_LE(result.stats.max_live_states, cap);
+      expect_bitwise_under_budget(w, cap, threads);
+    }
+  }
+  // GHZ: nearly every amplitude is zero, and Z errors act on signs only.
+  // The budget refuses forks at 4 and 8 threads; the comparison is a
+  // memcmp, so it also checks the sign of every zero.
+  for (const unsigned n : {6u, 10u}) {
+    SCOPED_TRACE("ghz:" + std::to_string(n));
+    const Workload ghz(decompose_to_cx_basis(make_ghz(n)),
+                       NoiseModel::uniform(n, 0.02, 0.08, 0.02), 600, 13);
+    for (std::size_t cap : {2u, 3u}) {
+      for (const std::size_t threads : {4u, 8u}) {
+        expect_bitwise_under_budget(ghz, cap, threads);
       }
     }
   }

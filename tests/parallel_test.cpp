@@ -1,9 +1,12 @@
 // run_noisy's thread count: the prefix tree runs on num_threads workers and
-// every result is independent of it.
+// every result is independent of it; the op count stays the sequential
+// schedule's, and copy-on-write forks skip copies.
 #include <gtest/gtest.h>
 
 #include "bench_circuits/qft.hpp"
+#include "bench_circuits/suite.hpp"
 #include "common/error.hpp"
+#include "noise/devices.hpp"
 #include "noise/noise_model.hpp"
 #include "obs/pauli_string.hpp"
 #include "sched/runner.hpp"
@@ -138,6 +141,41 @@ TEST(Parallel, OneThreadMatchesSerialSchedulerBitwise) {
   ASSERT_EQ(tree.observable_means.size(), 1u);
   // The baseline sums in generation order, the tree in reorder order.
   EXPECT_NEAR(tree.observable_means[0], baseline.observable_means[0], 1e-12);
+}
+
+TEST(Parallel, TreeMatchesSequentialOpsAndBaselineHistogram) {
+  // At 2 and 4 threads the prefix tree performs exactly the sequential
+  // schedule's matvec ops (analyze_noisy) — no shared prefix runs twice —
+  // and samples the per-trial baseline loop's histogram bit for bit.
+  const DeviceModel dev = yorktown_device();
+  const BenchmarkEntry entry = make_table1_suite(dev)[11];
+  ASSERT_EQ(entry.name, "qv_n5d5");
+  NoisyRunConfig config = make_config(512, 1, 7);
+  const NoisyRunResult counted = analyze_noisy(entry.compiled, dev.noise, config);
+  NoisyRunConfig baseline_config = config;
+  baseline_config.mode = ExecutionMode::kBaseline;
+  const NoisyRunResult baseline = run_noisy(entry.compiled, dev.noise, baseline_config);
+  for (const std::size_t threads : {2u, 4u}) {
+    config.num_threads = threads;
+    const NoisyRunResult tree = run_noisy(entry.compiled, dev.noise, config);
+    EXPECT_EQ(tree.ops, counted.ops) << threads << " threads";
+    EXPECT_EQ(tree.histogram, baseline.histogram) << threads << " threads";
+  }
+}
+
+TEST(Parallel, CowMaterializesFewerCopiesThanForksOnTable1Suite) {
+  // Across the Table I suite at 4 threads, at least one schedule fork is
+  // served by a refcount bump whose buffer is never copied. If copy-on-write
+  // regressed to a copy per fork, the two totals would be equal.
+  const DeviceModel dev = yorktown_device();
+  std::uint64_t forks = 0;
+  std::uint64_t materializations = 0;
+  for (const BenchmarkEntry& entry : make_table1_suite(dev)) {
+    const NoisyRunResult result = run_noisy(entry.compiled, dev.noise, make_config(512, 4, 7));
+    forks += result.fork_copies;
+    materializations += result.telemetry.cow_materializations;
+  }
+  EXPECT_LT(materializations, forks);
 }
 
 TEST(Parallel, RejectsSingleStateBudget) {

@@ -47,11 +47,7 @@ struct RecordedRun {
 };
 
 /// Build the prefix tree of `trials` (already reordered) with `options` and
-/// execute it on `threads` workers, recording every final state. Uncompute
-/// is off: it restores a buffer only up to the sign of zero amplitudes (see
-/// TreeExecConfig::allow_uncompute), and these comparisons are bitwise.
-/// Budgeted multi-threaded runs therefore take the inline fallback here;
-/// the uncompute path's results are checked in frame_test.
+/// execute it on `threads` workers, recording every final state.
 inline RecordedRun run_recorded(const CircuitContext& ctx, const std::vector<Trial>& trials,
                                 std::size_t threads, const ScheduleOptions& options = {}) {
   RecordedRun run;
@@ -59,7 +55,6 @@ inline RecordedRun run_recorded(const CircuitContext& ctx, const std::vector<Tri
   TreeExecConfig config;
   config.num_threads = threads;
   config.max_states = options.max_states;
-  config.allow_uncompute = false;
   RecordingSink sink(trials.size());
   run.stats = execute_tree(ctx, run.tree, trials, config, sink);
   run.final_states = std::move(sink.states);

@@ -117,10 +117,11 @@ TEST(TreeExec, ObservableMeansBitwiseAcrossThreads) {
 TEST(TreeExec, MsvBudgetHoldsUnderConcurrency) {
   // The banker-style reservation keeps the *global* live-state count
   // within the budget for any interleaving: the executor asserts the
-  // transient bound internally (RQSIM_CHECK on every acquire), and the
-  // reported MSV is the schedule's sequential peak, <= budget by
-  // construction. Results stay bitwise identical to the unbudgeted run's
-  // schedule-equivalent (budgets change the schedule, not the physics).
+  // transient bound internally (RQSIM_CHECK on every acquire) and reports
+  // the peak it observed, and the planned MSV is the schedule's sequential
+  // peak, <= budget by construction. Results stay bitwise identical to the
+  // unbudgeted run's schedule-equivalent (budgets change the schedule, not
+  // the physics).
   const Circuit c = decompose_to_cx_basis(make_qft(4));
   const NoiseModel noise = NoiseModel::uniform(4, 0.05, 0.2, 0.0);
   const NoisyRunResult unbounded = run_noisy(c, noise, make_config(4000, 8));
@@ -129,6 +130,7 @@ TEST(TreeExec, MsvBudgetHoldsUnderConcurrency) {
     config.max_states = budget;
     const NoisyRunResult result = run_noisy(c, noise, config);
     EXPECT_LE(result.max_live_states, budget);
+    EXPECT_LE(result.telemetry.peak_live_states, budget);
     // Replay lowering trades ops for memory but never changes outcomes.
     EXPECT_EQ(result.histogram, unbounded.histogram) << "budget " << budget;
     EXPECT_GE(result.ops, unbounded.ops);

@@ -10,8 +10,9 @@
 //   - every reordered trial, in reorder order;
 //   - every ExecTree node field (kind, parent, entry event, event depth,
 //     entry frontier, trial ranges, tail, children, frame trials,
-//     uncompute_ok, peak_demand, subtree_ops) and the tree totals, for
-//     frames off and on x max_states {0, 2, 3}.
+//     peak_demand, subtree_ops), a per-node bit the test derives from the
+//     circuit (see permutation_suffix), and the tree totals, for frames off
+//     and on x max_states {0, 2, 3}.
 //
 // Inputs: the twelve Table I circuits on yorktown at two seeds, qft:8 on
 // the artificial device, and qft5 on a yorktown model with uniform, biased
@@ -28,6 +29,7 @@
 
 #include "bench_circuits/qft.hpp"
 #include "bench_circuits/suite.hpp"
+#include "circuit/gate.hpp"
 #include "common/rng.hpp"
 #include "noise/devices.hpp"
 #include "sched/order.hpp"
@@ -70,7 +72,36 @@ std::uint64_t hash_trials(const Trials& trials) {
   return h;
 }
 
-std::uint64_t hash_tree(const ExecTree& tree) {
+/// suffix[l]: layers [l, num_layers) hold only X, Y, Z, S, Sdg, CX, CZ,
+/// SWAP or CCX gates.
+std::vector<bool> permutation_suffix(const CircuitContext& ctx) {
+  const std::size_t num_layers = ctx.num_layers();
+  std::vector<bool> suffix(num_layers + 1, true);
+  for (std::size_t l = num_layers; l-- > 0;) {
+    bool ok = suffix[l + 1];
+    for (const gate_index_t g : ctx.layering.layers[l]) {
+      switch (ctx.circuit.gates()[g].kind) {
+        case GateKind::X:
+        case GateKind::Y:
+        case GateKind::Z:
+        case GateKind::S:
+        case GateKind::Sdg:
+        case GateKind::CX:
+        case GateKind::CZ:
+        case GateKind::SWAP:
+        case GateKind::CCX:
+          break;
+        default:
+          ok = false;
+      }
+    }
+    suffix[l] = ok;
+  }
+  return suffix;
+}
+
+std::uint64_t hash_tree(const CircuitContext& ctx, const ExecTree& tree) {
+  const std::vector<bool> suffix = permutation_suffix(ctx);
   std::uint64_t h = fnv_word(kFnvBasis, tree.nodes.size());
   h = fnv_word(h, tree.num_trials);
   h = fnv_word(h, tree.planned_ops);
@@ -100,7 +131,14 @@ std::uint64_t hash_tree(const ExecTree& tree) {
       h = fnv_word(h, ft.frame_z);
       h = fnv_word(h, ft.frame_ops);
     }
-    h = fnv_word(h, node.uncompute_ok ? 1 : 0);
+    // The recorded hashes include one bit per node: 1 for a replay node
+    // whose layers [entry_frontier, num_layers) hold only the gates
+    // permutation_suffix lists, else 0. It depends only on the node kind,
+    // entry_frontier and the circuit, which the hash already pins, so it
+    // keeps the constants valid and checks nothing of its own.
+    const bool permutation_leaf =
+        node.kind == TreeNode::Kind::kReplay && suffix[node.entry_frontier];
+    h = fnv_word(h, permutation_leaf ? 1 : 0);
     h = fnv_word(h, node.peak_demand);
     h = fnv_word(h, node.subtree_ops);
   }
@@ -258,7 +296,7 @@ TEST(TrialGolden, GenerationReorderAndTreesReproduceRecordedHashes) {
         ScheduleOptions options;
         options.frame_collapse = frames;
         options.max_states = budget;
-        const std::uint64_t h = hash_tree(build_exec_tree(ctx, trials, options));
+        const std::uint64_t h = hash_tree(ctx, build_exec_tree(ctx, trials, options));
         EXPECT_EQ(h, row.trees[cell])
             << std::hex << "tree " << cell << " 0x" << h;
         ++cell;
@@ -287,7 +325,7 @@ TEST(TrialGolden, TrialSetPassReproducesRecordedHashes) {
         options.max_states = budget;
         const OrderedTrials ordered = order_trials(ctx, trials, options);
         EXPECT_EQ(hash_trials(ordered.trials), row.reordered) << "cell " << cell;
-        EXPECT_EQ(hash_tree(ordered.tree), row.trees[cell]) << "cell " << cell;
+        EXPECT_EQ(hash_tree(ctx, ordered.tree), row.trees[cell]) << "cell " << cell;
         ++cell;
       }
     }

@@ -21,6 +21,8 @@ std::uint64_t stable_hash64(const std::string& bytes) {
 std::uint64_t workload_affinity_key(const Json& submit_request) {
   // Canonicalize through Json::dump (sorted keys, deterministic number
   // formatting) so field order on the wire cannot split a workload class.
+  // The fields are those configs_mergeable (sched/runner.hpp) compares,
+  // plus the workload and analyze, which batch_compatible adds.
   Json canon = Json::object();
   if (submit_request.has("workload")) {
     canon.set("workload", submit_request.at("workload"));

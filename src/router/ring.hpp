@@ -36,10 +36,13 @@ std::uint64_t stable_hash64(const std::string& bytes);
 /// Canonical workload-affinity key of a submit request: hashes exactly the
 /// fields that must match for two jobs to be batch-compatible on a backend
 /// (the workload description plus mode / max_states / fuse / analyze /
-/// frames — the spec-level mirror of batch_fingerprint), and none of the
-/// fields that vary freely within a merged batch (seed, trials, threads,
-/// priority, tenant). Two submits with equal keys from different tenants
-/// therefore route to the same backend and can merge there.
+/// frames — the wire-level mirror of batch_fingerprint and of the merge
+/// rule configs_mergeable, sched/runner.hpp), and none of the fields that
+/// vary freely within a merged batch (seed, trials, threads, priority,
+/// tenant). Two submits with equal keys from different tenants therefore
+/// route to the same backend and can merge there. The key hashes JSON, so
+/// it keeps its own copy of the field list; keep it in step with
+/// configs_mergeable.
 std::uint64_t workload_affinity_key(const Json& submit_request);
 
 class HashRing {

@@ -28,6 +28,16 @@ void validate_run_limits(const NoisyRunConfig& config, const char* context) {
   RQSIM_CHECK(config.num_trials <= kMaxTrialCount,
               where + ": trial count " + std::to_string(config.num_trials) +
                   " exceeds the supported maximum (overflowed or negative value?)");
+  RQSIM_CHECK(config.num_threads <= kMaxThreadCount,
+              where + ": num_threads " + std::to_string(config.num_threads) +
+                  " exceeds the supported maximum of " +
+                  std::to_string(kMaxThreadCount));
+}
+
+bool configs_mergeable(const NoisyRunConfig& a, const NoisyRunConfig& b) {
+  return a.mode == ExecutionMode::kCachedReordered && b.mode == a.mode &&
+         a.max_states == b.max_states && !a.fuse_gates && !b.fuse_gates &&
+         a.frame_collapse == b.frame_collapse;
 }
 
 namespace {
@@ -38,7 +48,6 @@ TrialSet make_trials(const Circuit& circuit, const CircuitContext& ctx,
   RQSIM_CHECK(noise.num_qubits() >= circuit.num_qubits(),
               std::string(context) +
                   ": noise model covers fewer qubits than the circuit");
-  validate_run_limits(config, context);
   return generate_trial_set(circuit, ctx.layering, noise, config.num_trials, rng);
 }
 
@@ -213,15 +222,12 @@ void validate_configs(const Circuit& circuit,
   RQSIM_CHECK(lead.mode != ExecutionMode::kCachedUnordered,
               "run_noisy: the unordered-cache ablation is accounting-only; "
               "use analyze_noisy");
-  RQSIM_CHECK(configs.size() == 1 || lead.mode == ExecutionMode::kCachedReordered,
-              "run_noisy: only cached runs merge");
   for (const NoisyRunConfig* config : configs) {
     RQSIM_CHECK(config != nullptr, "run_noisy: null job config");
-    RQSIM_CHECK(config->mode == lead.mode && config->max_states == lead.max_states &&
-                    config->fuse_gates == lead.fuse_gates &&
-                    config->frame_collapse == lead.frame_collapse,
-                "run_noisy: merged jobs must match in mode, max_states, "
-                "fuse_gates and frame_collapse");
+    validate_run_limits(*config, "run_noisy");
+    RQSIM_CHECK(configs.size() == 1 || configs_mergeable(lead, *config),
+                "run_noisy: merged jobs must be cached runs that match in "
+                "max_states and frame_collapse, and none may be fused");
     RQSIM_CHECK(config->num_threads <= 1 || config->mode == ExecutionMode::kCachedReordered,
                 "run_noisy: num_threads > 1 requires the cached mode");
     for (const PauliString& pauli : config->observables) {
@@ -318,6 +324,7 @@ NoisyRunResult analyze_noisy(const Circuit& circuit, const NoiseModel& noise,
               "analyze_noisy: frame collapse is not counted here (the sequential "
               "walker ignores it); prove the framed count with 'rqsim verify --frames'");
   circuit.validate();
+  validate_run_limits(config, "analyze_noisy");
   CircuitContext ctx(circuit);
   Rng rng(config.seed);
   TrialSet trials = make_trials(circuit, ctx, noise, config, rng, "analyze_noisy");

@@ -41,6 +41,11 @@ inline constexpr bool kVerifyPlansDefault = true;
 inline constexpr std::size_t kMaxTrialCount = std::size_t{1} << 40;
 inline constexpr std::size_t kMaxStatesBudget = std::size_t{1} << 40;
 
+/// Upper bound accepted for NoisyRunConfig::num_threads at every entry
+/// point (run_noisy, analyze_noisy, the CLI and service jobs): each cached
+/// run starts up to this many executor threads.
+inline constexpr std::size_t kMaxThreadCount = 1024;
+
 enum class ExecutionMode {
   kBaseline,          // every trial from scratch (paper's baseline)
   kCachedReordered,   // the paper's optimization: reorder + prefix caching
@@ -95,10 +100,20 @@ struct NoisyRunConfig {
 
 /// Shared entry-point validation of the run limits: rejects max_states == 1
 /// (the budget needs one shared checkpoint plus one scratch state; 0 stays
-/// the documented "unlimited" sentinel) and trial counts / budgets beyond
-/// kMaxTrialCount / kMaxStatesBudget (overflowed or negative inputs).
-/// `context` names the caller in the error message.
+/// the documented "unlimited" sentinel) and trial counts / budgets / thread
+/// counts beyond kMaxTrialCount / kMaxStatesBudget / kMaxThreadCount
+/// (overflowed or negative inputs). Runs before any trial is generated or
+/// any thread starts. `context` names the caller in the error message.
 void validate_run_limits(const NoisyRunConfig& config, const char* context);
+
+/// The merge rule: whether jobs of `a` and `b` on the same circuit and noise
+/// model may share one prefix tree (run_noisy_batch, and the service's
+/// batch_compatible). Only cached-reordered runs merge, and they must match
+/// in max_states and frame_collapse. Fused runs never merge: a fused
+/// trial's last bits depend on the tree it runs in, so a merge would change
+/// its results. Seeds, trial counts, observables, thread counts and
+/// verify_plans vary freely.
+bool configs_mergeable(const NoisyRunConfig& a, const NoisyRunConfig& b);
 
 /// Runtime-measured execution summary. Every field comes from the run's own
 /// counts, never from a process-global counter delta, so runs that overlap
@@ -211,8 +226,8 @@ struct NoisyBatchResult {
 /// largest num_threads any config asks for. Every error prefix shared
 /// across jobs is simulated once (the tree reuse of TQSim, PAPERS.md).
 /// Jobs may differ in seed, num_trials, observables, num_threads and
-/// verify_plans; mode, max_states, fuse_gates and frame_collapse must
-/// match. The merged ops are attributed to jobs in proportion to their
+/// verify_plans; more than one config must pass configs_mergeable (so none
+/// is fused). The merged ops are attributed to jobs in proportion to their
 /// solo_ops, telescoped so the shares sum exactly to batch_ops.
 ///
 /// With unfused kernels each job's histogram and observable means are

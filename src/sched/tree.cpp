@@ -1,6 +1,7 @@
 #include "sched/tree.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 #include "sched/order.hpp"
@@ -22,6 +23,12 @@ namespace {
 // Groups whose subtree is not built node by node (frame-collapsed groups,
 // and groups lowered to replays by the budget) are sorted to the end in
 // one sort_from call, so their trial indices are final when recorded.
+//
+// Nodes are appended in depth-first order, so a node's subtree_end is the
+// node count when its recursion returns. No node allocates: a node's
+// frame-collapsed groups gather on one reusable stack (`frame_stack_`)
+// while its children build above them, and move to ExecTree::frames as one
+// contiguous range when the node completes.
 class TreeBuilder {
  public:
   TreeBuilder(const CircuitContext& ctx, TrialOrderer& orderer,
@@ -45,10 +52,9 @@ class TreeBuilder {
     // not share two or more leading events, which is nearly all of them;
     // reserving it avoids reallocating the node array while it grows.
     tree.nodes.reserve(n + 1);
-    build_branch(kNoNode, nullptr, 0, n, /*event_depth=*/0, /*depth=*/0,
-                 /*entry_frontier=*/0, sorted);
+    tree.peak_demand = build_branch(nullptr, 0, n, /*event_depth=*/0, /*depth=*/0,
+                                    /*entry_frontier=*/0, sorted);
     tree.planned_forks = tree.nodes.size() - 1;
-    tree.peak_demand = tree.nodes.front().peak_demand;
     return tree;
   }
 
@@ -74,20 +80,32 @@ class TreeBuilder {
     return ops;
   }
 
-  std::size_t make_replay(std::size_t parent, std::size_t t, std::size_t event_depth,
-                          layer_index_t frontier) {
+  /// Append a node and return its index, which fits the 32-bit index
+  /// fields with room for subtree_end.
+  std::uint32_t push_node(const TreeNode& node) {
     const std::size_t idx = tree_->nodes.size();
+    RQSIM_CHECK(idx < std::numeric_limits<std::uint32_t>::max(),
+                "build_exec_tree: the prefix tree exceeds 2^32 - 1 nodes");
+    tree_->nodes.push_back(node);
+    return static_cast<std::uint32_t>(idx);
+  }
+
+  /// Append the replay leaf of trial t; returns its peak demand.
+  std::uint32_t make_replay(std::size_t t, std::size_t event_depth,
+                            layer_index_t frontier) {
     TreeNode node;
     node.kind = TreeNode::Kind::kReplay;
-    node.parent = parent;
-    node.event_depth = event_depth;
+    node.event_depth = static_cast<std::uint32_t>(event_depth);
     node.entry_frontier = frontier;
-    node.trial = t;
+    node.begin = static_cast<std::uint32_t>(t);
+    node.end = node.begin + 1;
+    node.tail_begin = node.end;
     node.peak_demand = 1;
     node.subtree_ops = replay_ops(orderer_.events(t), event_depth, frontier);
     tree_->planned_ops += node.subtree_ops;
-    tree_->nodes.push_back(std::move(node));
-    return idx;
+    const std::uint32_t idx = push_node(node);
+    tree_->nodes[idx].subtree_end = idx + 1;
+    return node.peak_demand;
   }
 
   /// All-or-nothing frame collapse of the group [begin, end) branching at
@@ -95,11 +113,11 @@ class TreeBuilder {
   /// to the end of the circuit as a pure Pauli frame (Clifford-only
   /// downstream conjugation, X part confined to measured qubits, Z-only if
   /// observables will be evaluated). On success the group's FrameTrials are
-  /// appended to `frames` and the caller skips building the subtree; on
-  /// failure `frames` is left untouched and the group forks as usual.
+  /// pushed on frame_stack_ and the caller skips building the subtree; on
+  /// failure frame_stack_ is left untouched and the group forks as usual.
   bool try_collapse_group(std::size_t begin, std::size_t end,
-                          std::size_t event_depth,
-                          std::vector<FrameTrial>& frames) {
+                          std::size_t event_depth) {
+    std::vector<FrameTrial>& frames = frame_stack_;
     const std::size_t before = frames.size();
     for (std::size_t t = begin; t != end; ++t) {
       const FramePropagation p = propagate_frame_to_end(
@@ -119,40 +137,38 @@ class TreeBuilder {
     return true;
   }
 
-  /// Build the kBranch node for trials [begin, end) sharing `event_depth`
-  /// events (entry_event is the shared event just injected, null for the
-  /// root). Returns the node index. Matches ScheduleWalker::walk. `sorted`:
-  /// the group is already in reorder order.
-  std::size_t build_branch(std::size_t parent, const ErrorEvent* entry_event,
-                           std::size_t begin, std::size_t end, std::size_t event_depth,
-                           std::size_t depth, layer_index_t entry_frontier,
-                           bool sorted) {
+  /// Build the kBranch subtree for trials [begin, end) sharing
+  /// `event_depth` events (entry_event is the shared event just injected,
+  /// null for the root). Returns the node's peak demand. Matches
+  /// ScheduleWalker::walk. `sorted`: the group is already in reorder order.
+  std::uint32_t build_branch(const ErrorEvent* entry_event, std::size_t begin,
+                             std::size_t end, std::size_t event_depth,
+                             std::size_t depth, layer_index_t entry_frontier,
+                             bool sorted) {
     // Algorithm 1 at this depth: group the trials by their next event.
     if (sorted) {
       orderer_.load_keys(begin, end, event_depth);
     } else {
       orderer_.sort_level(begin, end, event_depth);
     }
-    const std::size_t idx = tree_->nodes.size();
     const opcount_t ops_before = tree_->planned_ops;
+    std::uint32_t idx = 0;
     {
       TreeNode node;
       node.kind = TreeNode::Kind::kBranch;
-      node.parent = parent;
       if (entry_event != nullptr) {
         node.entry_event = *entry_event;
       }
-      node.event_depth = event_depth;
+      node.event_depth = static_cast<std::uint32_t>(event_depth);
       node.entry_frontier = entry_frontier;
-      node.begin = begin;
-      node.end = end;
-      tree_->nodes.push_back(std::move(node));
+      node.begin = static_cast<std::uint32_t>(begin);
+      node.end = static_cast<std::uint32_t>(end);
+      idx = push_node(node);
     }
     // NOTE: tree_->nodes may reallocate during recursion — never hold a
-    // reference to nodes[idx] across a child build; collect locally and
-    // write back at the end.
-    std::vector<std::size_t> children;
-    std::vector<FrameTrial> frame_trials;
+    // reference to nodes[idx] across a child build; write back at the end.
+    const std::size_t frames_base = frame_stack_.size();
+    std::uint32_t peak = 1;
     layer_index_t frontier = entry_frontier;
     std::size_t i = begin;
     while (i != end && orderer_.key(i) != orderer_.exhausted()) {
@@ -171,8 +187,7 @@ class TreeBuilder {
       if (options_.frame_collapse) {
         sort_group();
       }
-      if (options_.frame_collapse &&
-          try_collapse_group(i, j, event_depth, frame_trials)) {
+      if (options_.frame_collapse && try_collapse_group(i, j, event_depth)) {
         // The whole subtree is frame bookkeeping: no advance to the branch
         // point, no fork, no child ops. The trials finish on this node's
         // buffer after the final advance below. Skipping the intermediate
@@ -188,20 +203,20 @@ class TreeBuilder {
         frontier = target;
       }
       if (j - i == 1) {
-        children.push_back(make_replay(idx, i, event_depth, frontier));
+        peak = std::max(peak, 1 + make_replay(i, event_depth, frontier));
       } else if (options_.max_states == 0 || depth + 2 < options_.max_states) {
         tree_->planned_ops += 1;  // the child's shared entry-error injection
-        children.push_back(build_branch(idx, &event, i, j, event_depth + 1, depth + 1,
-                                        frontier, group_sorted));
+        peak = std::max(peak, 1 + build_branch(&event, i, j, event_depth + 1, depth + 1,
+                                               frontier, group_sorted));
       } else {
         sort_group();
         for (std::size_t t = i; t != j; ++t) {
-          children.push_back(make_replay(idx, t, event_depth, frontier));
+          peak = std::max(peak, 1 + make_replay(t, event_depth, frontier));
         }
       }
       i = j;
     }
-    if (i != end || !frame_trials.empty()) {
+    if (i != end || frame_stack_.size() != frames_base) {
       // Tail trials and frame-collapsed trials both finish on this node's
       // buffer advanced to the end of the circuit.
       const auto total = static_cast<layer_index_t>(ctx_.num_layers());
@@ -209,22 +224,24 @@ class TreeBuilder {
         tree_->planned_ops += ctx_.ops_in_layers(frontier, total);
       }
     }
-    std::size_t peak = 1;
-    for (const std::size_t ci : children) {
-      peak = std::max(peak, 1 + tree_->nodes[ci].peak_demand);
+    // This node's frame-collapsed groups sit on top of the stack, above
+    // whatever its ancestors gathered; its children have already moved
+    // theirs out.
+    const std::size_t frames_begin = tree_->frames.size();
+    for (std::size_t f = frames_base; f != frame_stack_.size(); ++f) {
+      tree_->frames.push_back(frame_stack_[f]);
+      tree_->planned_frame_ops += frame_stack_[f].frame_ops;
     }
-    tree_->frame_collapsed_trials += frame_trials.size();
-    for (const FrameTrial& ft : frame_trials) {
-      tree_->planned_frame_ops += ft.frame_ops;
-    }
+    tree_->frame_collapsed_trials += frame_stack_.size() - frames_base;
+    frame_stack_.resize(frames_base);
     TreeNode& node = tree_->nodes[idx];
-    node.tail_begin = i;
-    node.tail_end = end;
-    node.children = std::move(children);
-    node.frame_trials = std::move(frame_trials);
+    node.tail_begin = static_cast<std::uint32_t>(i);
+    node.subtree_end = static_cast<std::uint32_t>(tree_->nodes.size());
+    node.frames_begin = static_cast<std::uint32_t>(frames_begin);
+    node.frames_end = static_cast<std::uint32_t>(tree_->frames.size());
     node.peak_demand = peak;
     node.subtree_ops = tree_->planned_ops - ops_before;
-    return idx;
+    return peak;
   }
 
   const CircuitContext& ctx_;
@@ -232,6 +249,9 @@ class TreeBuilder {
   const ScheduleOptions& options_;
   ExecTree* tree_ = nullptr;
   std::uint64_t measured_mask_ = 0;
+  /// Frame-collapsed trials of the nodes under construction, innermost on
+  /// top (see the class comment).
+  std::vector<FrameTrial> frame_stack_;
 };
 
 // Re-emit the depth-first schedule of a subtree. The emission order is the
@@ -256,10 +276,11 @@ class TreeEmitter {
   void emit_branch(std::size_t idx, std::size_t depth) {
     const TreeNode& node = tree_.nodes[idx];
     layer_index_t frontier = node.entry_frontier;
-    if (node.parent != kNoNode) {
+    if (idx != 0) {
       visitor_.on_error(depth, node.entry_event);
     }
-    for (const std::size_t ci : node.children) {
+    for (std::size_t ci = idx + 1; ci < node.subtree_end;
+         ci = tree_.nodes[ci].subtree_end) {
       const TreeNode& child = tree_.nodes[ci];
       if (child.entry_frontier > frontier) {
         visitor_.on_advance(depth, frontier, child.entry_frontier);
@@ -273,20 +294,20 @@ class TreeEmitter {
       }
       visitor_.on_drop(depth + 1);
     }
-    if (node.tail_begin != node.tail_end || !node.frame_trials.empty()) {
+    if (node.has_tail()) {
       const auto total = static_cast<layer_index_t>(ctx_.num_layers());
       if (total > frontier) {
         visitor_.on_advance(depth, frontier, total);
         frontier = total;
       }
-      for (std::size_t t = node.tail_begin; t != node.tail_end; ++t) {
+      for (std::size_t t = node.tail_begin; t != node.end; ++t) {
         visitor_.on_finish(depth, static_cast<trial_index_t>(t), trials_[t]);
       }
       // Frame-collapsed trials finish on the same buffer; their remaining
       // events are virtual (carried by the recorded frame), so the stream
       // shows a finish with only the node's event_depth-long prefix applied
       // — the verifier's frame-algebra pass proves the rest.
-      for (const FrameTrial& ft : node.frame_trials) {
+      for (const FrameTrial& ft : tree_.frames_of(node)) {
         visitor_.on_finish(depth, static_cast<trial_index_t>(ft.trial),
                            trials_[ft.trial]);
       }
@@ -295,7 +316,7 @@ class TreeEmitter {
 
   void emit_replay(std::size_t idx, std::size_t depth) {
     const TreeNode& node = tree_.nodes[idx];
-    const TrialView trial = trials_[node.trial];
+    const TrialView trial = trials_[node.begin];
     layer_index_t f = node.entry_frontier;
     for (std::size_t k = node.event_depth; k < trial.events.size(); ++k) {
       const ErrorEvent& event = trial.events[k];
@@ -310,7 +331,7 @@ class TreeEmitter {
     if (total > f) {
       visitor_.on_advance(depth, f, total);
     }
-    visitor_.on_finish(depth, static_cast<trial_index_t>(node.trial), trial);
+    visitor_.on_finish(depth, node.begin, trial);
   }
 
   const CircuitContext& ctx_;

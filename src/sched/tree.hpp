@@ -32,14 +32,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "sched/plan.hpp"
 #include "trial/trial.hpp"
 
 namespace rqsim {
-
-inline constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
 
 /// A trial finished by Pauli-frame collapse (ScheduleOptions::
 /// frame_collapse): instead of forking a statevector for its remaining
@@ -59,11 +59,20 @@ struct FrameTrial {
   opcount_t frame_ops = 0;
 };
 
+/// One node of the flat prefix tree: a fixed-size record that owns no
+/// memory. Nodes are stored in depth-first order, so a node's subtree is
+/// the contiguous range [index, subtree_end) of ExecTree::nodes and its
+/// children are the sibling chain that starts at index + 1 and steps by
+/// each child's subtree_end. Indices are 32-bit: TrialOrderer rejects sets
+/// of 2^32 or more trials or events, and the builder checks the node count.
 struct TreeNode {
   enum class Kind : std::uint8_t { kBranch, kReplay };
 
-  Kind kind = Kind::kBranch;
-  std::size_t parent = kNoNode;
+  /// Gate + error ops of the whole subtree rooted here (excluding the
+  /// node's own entry-error injection, which the parent's stream pays).
+  /// The executor's chunk batcher uses this as the work estimate when
+  /// grouping sibling subtrees into one steal-able task.
+  opcount_t subtree_ops = 0;
 
   /// Error event applied when this node's buffer starts executing (valid
   /// for every non-root kBranch node; kReplay nodes apply their events from
@@ -73,7 +82,7 @@ struct TreeNode {
   /// Number of leading error events shared by every trial of this node
   /// (kBranch: including entry_event; kReplay: index of the first event
   /// still to apply).
-  std::size_t event_depth = 0;
+  std::uint32_t event_depth = 0;
 
   /// Layer frontier of the buffer handed to this node: the parent advanced
   /// its checkpoint error-free through layers [0, entry_frontier) before
@@ -81,45 +90,53 @@ struct TreeNode {
   layer_index_t entry_frontier = 0;
 
   /// kBranch: trials [begin, end) of the reordered list form this group.
-  std::size_t begin = 0;
-  std::size_t end = 0;
+  /// kReplay: the one trial replayed on the scratch state, [begin, begin + 1).
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
 
-  /// kReplay: the single trial replayed on the scratch state.
-  std::size_t trial = 0;
+  /// kBranch: trials [tail_begin, end) have exactly `event_depth` errors
+  /// and finish on this node's own buffer after the final advance.
+  /// kReplay: equal to `end` (no tail).
+  std::uint32_t tail_begin = 0;
 
-  /// kBranch: trials [tail_begin, tail_end) have exactly `event_depth`
-  /// errors and finish on this node's own buffer after the final advance.
-  std::size_t tail_begin = 0;
-  std::size_t tail_end = 0;
+  /// One past the last node of this subtree (kReplay: index + 1).
+  std::uint32_t subtree_end = 0;
 
-  /// kBranch: child subtrees in schedule order (branch points by event
-  /// order, each either a kBranch subtree or one kReplay leaf per trial).
-  std::vector<std::size_t> children;
-
-  /// kBranch: trials of [begin, end) whose subtrees the frame-collapse
-  /// pass eliminated. They share this node's event_depth-long prefix and
-  /// finish on this node's own buffer after the final advance; their
-  /// remaining events live only in the recorded frames. Empty unless the
-  /// tree was built with ScheduleOptions::frame_collapse.
-  std::vector<FrameTrial> frame_trials;
+  /// kBranch: ExecTree::frames[frames_begin, frames_end) are the trials of
+  /// [begin, end) whose subtrees the frame-collapse pass eliminated. They
+  /// share this node's event_depth-long prefix and finish on this node's
+  /// own buffer after the final advance; their remaining events live only
+  /// in the recorded frames. Empty unless the tree was built with
+  /// ScheduleOptions::frame_collapse.
+  std::uint32_t frames_begin = 0;
+  std::uint32_t frames_end = 0;
 
   /// Buffers needed to execute this subtree sequentially, including the
   /// node's own (= the sequential walker's stack growth below this point).
   /// The executor's admission control reserves this many states before
   /// letting a subtree run concurrently, which is what makes the MSV
   /// budget a *global* bound rather than a per-chunk one.
-  std::size_t peak_demand = 1;
+  std::uint32_t peak_demand = 1;
 
-  /// Gate + error ops of the whole subtree rooted here (excluding the
-  /// node's own entry-error injection, which the parent's stream pays).
-  /// The executor's chunk batcher uses this as the work estimate when
-  /// grouping sibling subtrees into one steal-able task.
-  opcount_t subtree_ops = 0;
+  Kind kind = Kind::kBranch;
+
+  /// Trials finish on this node's own buffer after its final advance.
+  bool has_tail() const { return tail_begin != end || frames_begin != frames_end; }
 };
 
+static_assert(sizeof(TreeNode) <= 64, "TreeNode must stay a 64-byte record");
+static_assert(std::is_trivially_copyable_v<TreeNode>,
+              "TreeNode must own no memory");
+
 struct ExecTree {
-  /// nodes[0] is the root (empty trial list produces an empty vector).
+  /// Depth-first order; nodes[0] is the root (empty trial list produces an
+  /// empty vector).
   std::vector<TreeNode> nodes;
+
+  /// Every node's frame-collapsed trials, one contiguous range per node
+  /// (TreeNode::frames_begin/frames_end).
+  std::vector<FrameTrial> frames;
+
   std::size_t num_trials = 0;
 
   /// Gate + error-injection op count of the tree schedule; equal by
@@ -144,6 +161,12 @@ struct ExecTree {
   opcount_t planned_frame_ops = 0;
 
   bool has_frames() const { return frame_collapsed_trials != 0; }
+
+  /// `node`'s frame-collapsed trials.
+  std::span<const FrameTrial> frames_of(const TreeNode& node) const {
+    return std::span<const FrameTrial>(frames).subspan(
+        node.frames_begin, node.frames_end - node.frames_begin);
+  }
 };
 
 /// Result of order_trials.

@@ -49,13 +49,12 @@ telemetry::Counter g_frame_ops("sim.frame_ops");
 telemetry::Histogram g_worker_ops("tree_exec.worker_ops");
 
 struct Task {
-  /// Node task (chunk_end == 0): execute the subtree rooted at `node` on
-  /// `handle` (only the root is ever a node task). Chunk task: execute
-  /// children [chunk_begin, chunk_end) of `node` — a same-frontier sibling
-  /// run — forking each child's entry handle from `handle`.
-  std::size_t node = 0;
-  std::size_t chunk_begin = 0;
-  std::size_t chunk_end = 0;
+  /// Chunk task: the sibling subtrees that tile nodes [begin, end) — a
+  /// same-frontier run of one parent's children — each forking its entry
+  /// handle from `handle`. The root task is [0, nodes.size()), the only
+  /// range that starts at node 0: it executes the root on `handle` itself.
+  std::size_t begin = 0;
+  std::size_t end = 0;
   CowState handle;
   /// MSV-budget tokens held by this task's subtree (0 when the budget is
   /// unlimited or the subtree runs inline under its parent's reservation).
@@ -118,7 +117,7 @@ class TreeExecutor {
     outstanding_.store(1, std::memory_order_relaxed);
     {
       Task root;
-      root.node = 0;
+      root.end = tree_.nodes.size();
       root.handle = CowState::adopt(std::move(root_state));
       root.reserved = budget_ != 0 ? tree_.peak_demand : 0;
       std::lock_guard<std::mutex> lock(workers_[0].mutex);
@@ -178,6 +177,9 @@ class TreeExecutor {
     std::mutex mutex;
     std::deque<Task> deque;
     std::unique_ptr<FusionCache> fusion;
+    /// The finishing node's frame trials, copied out of ExecTree::frames
+    /// for TreeTrialSink::on_finish_frames.
+    std::vector<FrameTrial> frames;
     opcount_t ops = 0;
     std::uint64_t fork_copies = 0;
     std::uint64_t cow_materializations = 0;
@@ -363,10 +365,10 @@ class TreeExecutor {
     try {
       if (abort_.load(std::memory_order_relaxed)) {
         drop_handle(w, task.handle);
-      } else if (task.chunk_end != 0) {
-        exec_chunk(w, task.node, task.chunk_begin, task.chunk_end, task.handle);
+      } else if (task.begin != 0) {
+        exec_chunk(w, task.begin, task.end, task.handle);
       } else {
-        exec_node(w, task.node, task.handle);
+        exec_node(w, 0, task.handle);
       }
     } catch (...) {
       {
@@ -389,13 +391,14 @@ class TreeExecutor {
     }
   }
 
-  /// Hand children [begin, end) of `parent` — a same-frontier sibling run
-  /// sized against chunk_target_ — to the scheduler as one unit. `handle`
-  /// shares the parent buffer at the run's entry frontier (or *is* the
-  /// parent buffer, moved, for the final chunk of a tail-less node).
-  void dispatch_chunk(std::size_t w, std::size_t parent, std::size_t begin,
-                      std::size_t end, CowState handle) {
-    if (end - begin > 1) {
+  /// Hand the sibling subtrees tiling nodes [begin, end) — a same-frontier
+  /// run of one parent's children, sized against chunk_target_ — to the
+  /// scheduler as one unit. `handle` shares the parent buffer at the run's
+  /// entry frontier (or *is* the parent buffer, moved, for the final chunk
+  /// of a tail-less node).
+  void dispatch_chunk(std::size_t w, std::size_t begin, std::size_t end,
+                      CowState handle) {
+    if (tree_.nodes[begin].subtree_end != end) {
       workers_[w].chunk_tasks += 1;
       g_chunk_tasks.increment();
     }
@@ -409,9 +412,8 @@ class TreeExecutor {
         // time. need <= 1 + (parent.peak - 1) = parent.peak, so any chunk
         // fits the budget the tree was built for.
         std::size_t child_peak = 0;
-        const std::vector<std::size_t>& children = tree_.nodes[parent].children;
-        for (std::size_t i = begin; i < end; ++i) {
-          child_peak = std::max(child_peak, tree_.nodes[children[i]].peak_demand);
+        for (std::size_t c = begin; c < end; c = tree_.nodes[c].subtree_end) {
+          child_peak = std::max<std::size_t>(child_peak, tree_.nodes[c].peak_demand);
         }
         need = 1 + child_peak;
         admit = try_reserve(need);
@@ -423,9 +425,8 @@ class TreeExecutor {
         outstanding_.fetch_add(1, std::memory_order_acq_rel);
         {
           Task task;
-          task.node = parent;
-          task.chunk_begin = begin;
-          task.chunk_end = end;
+          task.begin = begin;
+          task.end = end;
           task.handle = std::move(handle);
           task.reserved = need;
           std::lock_guard<std::mutex> lock(workers_[w].mutex);
@@ -444,7 +445,7 @@ class TreeExecutor {
       g_inline_fallbacks.increment();
       telemetry::trace_instant("tree_exec.inline_fallback");
     }
-    exec_chunk(w, parent, begin, end, handle);
+    exec_chunk(w, begin, end, handle);
   }
 
   // ---- node execution ---------------------------------------------------
@@ -468,19 +469,20 @@ class TreeExecutor {
     }
   }
 
-  /// Execute children [begin, end) of `parent` sequentially. Every child's
-  /// entry handle forks from the chunk handle except the last, which takes
-  /// the handle itself — the chunk's final fork never leaves a peer behind.
-  void exec_chunk(std::size_t w, std::size_t parent, std::size_t begin,
-                  std::size_t end, CowState& handle) {
-    const std::vector<std::size_t>& children = tree_.nodes[parent].children;
-    for (std::size_t i = begin; i < end; ++i) {
+  /// Execute the sibling subtrees tiling nodes [begin, end) sequentially.
+  /// Every child's entry handle forks from the chunk handle except the
+  /// last, which takes the handle itself — the chunk's final fork never
+  /// leaves a peer behind.
+  void exec_chunk(std::size_t w, std::size_t begin, std::size_t end,
+                  CowState& handle) {
+    for (std::size_t c = begin; c < end;) {
       if (abort_.load(std::memory_order_relaxed)) {
         break;
       }
-      CowState entry =
-          i + 1 == end ? move_entry(w, handle) : fork_entry(w, handle);
-      exec_node(w, children[i], entry);
+      const std::size_t next = tree_.nodes[c].subtree_end;
+      CowState entry = next == end ? move_entry(w, handle) : fork_entry(w, handle);
+      exec_node(w, c, entry);
+      c = next;
     }
     drop_handle(w, handle);
   }
@@ -488,50 +490,49 @@ class TreeExecutor {
   void exec_branch(std::size_t w, std::size_t idx, CowState& handle) {
     const TreeNode& node = tree_.nodes[idx];
     layer_index_t frontier = node.entry_frontier;
-    if (node.parent != kNoNode) {
+    if (idx != 0) {
       apply_error_event(ctx_, writable(w, handle), node.entry_event);
       workers_[w].ops += 1;
     }
-    // Tail trials and frame-collapsed trials both finish on this node's
-    // own buffer after the final advance.
-    const bool has_tail =
-        node.tail_begin != node.tail_end || !node.frame_trials.empty();
-    const std::vector<std::size_t>& children = node.children;
-    std::size_t i = 0;
-    while (i < children.size() && !abort_.load(std::memory_order_relaxed)) {
+    // Children are the sibling chain from idx + 1 to node.subtree_end; a
+    // run or chunk of them is the node range their subtrees tile.
+    const std::size_t last = node.subtree_end;
+    std::size_t c = idx + 1;
+    while (c < last && !abort_.load(std::memory_order_relaxed)) {
       // Maximal run of children forked at the same frontier: one parent
       // advance feeds them all, so the whole run shares one buffer
       // snapshot and can be chunked without duplicating any advance.
-      const layer_index_t run_frontier = tree_.nodes[children[i]].entry_frontier;
-      std::size_t run_end = i + 1;
-      while (run_end < children.size() &&
-             tree_.nodes[children[run_end]].entry_frontier == run_frontier) {
-        ++run_end;
+      const layer_index_t run_frontier = tree_.nodes[c].entry_frontier;
+      std::size_t run_end = tree_.nodes[c].subtree_end;
+      while (run_end < last && tree_.nodes[run_end].entry_frontier == run_frontier) {
+        run_end = tree_.nodes[run_end].subtree_end;
       }
       if (run_frontier > frontier) {
         advance(w, writable(w, handle), frontier, run_frontier);
         frontier = run_frontier;
       }
-      while (i < run_end) {
-        std::size_t chunk_end = i + 1;
-        opcount_t acc = tree_.nodes[children[i]].subtree_ops;
+      while (c < run_end) {
+        std::size_t chunk_end = tree_.nodes[c].subtree_end;
+        opcount_t acc = tree_.nodes[c].subtree_ops;
         while (chunk_end < run_end && acc < chunk_target_) {
-          acc += tree_.nodes[children[chunk_end]].subtree_ops;
-          ++chunk_end;
+          acc += tree_.nodes[chunk_end].subtree_ops;
+          chunk_end = tree_.nodes[chunk_end].subtree_end;
         }
-        if (!has_tail && chunk_end == children.size()) {
+        if (!node.has_tail() && chunk_end == last) {
           // The node's buffer has no consumer after its last fork: move it
           // into the final chunk so the last child's first write is
           // in-place — one materialization provably saved per tail-less
           // node, independent of scheduling timing.
-          dispatch_chunk(w, idx, i, chunk_end, std::move(handle));
+          dispatch_chunk(w, c, chunk_end, std::move(handle));
         } else {
-          dispatch_chunk(w, idx, i, chunk_end, handle.fork());
+          dispatch_chunk(w, c, chunk_end, handle.fork());
         }
-        i = chunk_end;
+        c = chunk_end;
       }
     }
-    if (!abort_.load(std::memory_order_relaxed) && has_tail) {
+    // Tail trials and frame-collapsed trials both finish on this node's
+    // own buffer after the final advance.
+    if (!abort_.load(std::memory_order_relaxed) && node.has_tail()) {
       const auto total = static_cast<layer_index_t>(ctx_.num_layers());
       if (total > frontier) {
         advance(w, writable(w, handle), frontier, total);
@@ -544,7 +545,7 @@ class TreeExecutor {
 
   void exec_replay(std::size_t w, std::size_t idx, CowState& handle) {
     const TreeNode& node = tree_.nodes[idx];
-    const TrialView trial = trials_[node.trial];
+    const TrialView trial = trials_[node.begin];
     layer_index_t frontier = node.entry_frontier;
     for (std::size_t k = node.event_depth; k < trial.events.size(); ++k) {
       const ErrorEvent& event = trial.events[k];
@@ -560,7 +561,7 @@ class TreeExecutor {
     if (total > frontier) {
       advance(w, writable(w, handle), frontier, total);
     }
-    finish_group(idx, node.trial, 1, handle.read());
+    finish_group(idx, node.begin, 1, handle.read());
     drop_handle(w, handle);
   }
 
@@ -588,15 +589,17 @@ class TreeExecutor {
       probs = measurement_probabilities(state, measured);
       probs_ptr = &probs;
     }
-    if (node.tail_begin != node.tail_end) {
-      sink_.on_finish_group(idx, node.tail_begin, node.tail_end - node.tail_begin,
-                            state, probs_ptr);
+    if (node.tail_begin != node.end) {
+      sink_.on_finish_group(idx, node.tail_begin, node.end - node.tail_begin, state,
+                            probs_ptr);
     }
-    if (!node.frame_trials.empty()) {
-      sink_.on_finish_frames(idx, node.frame_trials, state, probs_ptr);
+    const std::span<const FrameTrial> frames = tree_.frames_of(node);
+    if (!frames.empty()) {
       Worker& worker = workers_[w];
-      worker.frame_trials += node.frame_trials.size();
-      for (const FrameTrial& ft : node.frame_trials) {
+      worker.frames.assign(frames.begin(), frames.end());
+      sink_.on_finish_frames(idx, worker.frames, state, probs_ptr);
+      worker.frame_trials += frames.size();
+      for (const FrameTrial& ft : frames) {
         worker.frame_ops += ft.frame_ops;
       }
     }

@@ -14,7 +14,9 @@
 // Tasks are subtree *chunks*: a parent advances its buffer to a branch
 // frontier once, then hands out maximal same-frontier runs of child
 // subtrees — split against a target of planned_ops / (4 × workers) — as
-// single steal-able units sharing one CoW snapshot. Chunking keeps the
+// single steal-able units sharing one CoW snapshot. The tree is stored
+// depth-first (sched/tree.hpp), so a chunk is one contiguous node range:
+// the subtrees of its siblings tile it. Chunking keeps the
 // deques coarse (steals rare, one snapshot per run instead of one eager
 // copy per fork); same-frontier grouping is what makes it redundancy-free,
 // since one parent advance feeds the whole run. Idle workers steal from

@@ -126,16 +126,7 @@ std::uint64_t batch_fingerprint(const JobSpec& spec) {
 bool batch_compatible(const JobSpec& a, const JobSpec& b) {
   // Thread counts need not match: the merged tree runs on the largest one
   // and its results are bitwise identical at every count.
-  if (a.analyze_only || b.analyze_only) {
-    return false;
-  }
-  if (a.config.mode != ExecutionMode::kCachedReordered ||
-      b.config.mode != ExecutionMode::kCachedReordered) {
-    return false;
-  }
-  if (a.config.max_states != b.config.max_states ||
-      a.config.fuse_gates != b.config.fuse_gates ||
-      a.config.frame_collapse != b.config.frame_collapse) {
+  if (a.analyze_only || b.analyze_only || !configs_mergeable(a.config, b.config)) {
     return false;
   }
   return same_circuit(a.circuit, b.circuit) &&

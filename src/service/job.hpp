@@ -107,9 +107,10 @@ struct JobStatus {
 std::uint64_t batch_fingerprint(const JobSpec& spec);
 
 /// Exact batchability check (fingerprint equality plus a field-by-field
-/// comparison, so hash collisions can never merge distinct workloads).
-/// Only cached-reordered statevector jobs merge; frame_collapse must match,
-/// thread counts need not (the merged tree runs on the largest one).
+/// comparison, so hash collisions can never merge distinct workloads):
+/// statevector jobs on the same circuit and noise model whose configs pass
+/// configs_mergeable (sched/runner.hpp). Thread counts need not match (the
+/// merged tree runs on the largest one), and fused jobs never merge.
 bool batch_compatible(const JobSpec& a, const JobSpec& b);
 
 }  // namespace rqsim

@@ -51,9 +51,6 @@ std::string SimService::validate_spec(const JobSpec& spec) {
     RQSIM_CHECK(spec.noise.num_qubits() >= spec.circuit.num_qubits(),
                 "noise model covers fewer qubits than the circuit");
     validate_run_limits(spec.config, "job");
-    RQSIM_CHECK(spec.config.num_threads <= 1024,
-                "num_threads exceeds the supported maximum (overflowed or "
-                "negative value?)");
     if (!spec.analyze_only) {
       RQSIM_CHECK(spec.circuit.num_qubits() <= 30,
                   "statevector jobs are limited to 30 qubits; use analyze_only");

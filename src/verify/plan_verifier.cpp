@@ -743,6 +743,58 @@ PlanProof PlanVerifier::verify_tree_plan(const TrialSet& trials,
                         " were supplied");
   }
 
+  // Structure: every range the passes below follow must lie inside what it
+  // indexes, so a malformed tree is named here instead of read out of
+  // bounds. `open` holds the subtree ends of node ni's ancestors, innermost
+  // last. The root is a branch whose subtree spans the node array; a replay
+  // leaf's subtree is the leaf alone.
+  const auto fail_node = [&fail](std::size_t ni, const std::string& message) {
+    return fail({}, "node " + std::to_string(ni) + message);
+  };
+  std::vector<std::size_t> open;
+  for (std::size_t ni = 0; ni < tree.nodes.size(); ++ni) {
+    const TreeNode& node = tree.nodes[ni];
+    const bool replay = node.kind == TreeNode::Kind::kReplay;
+    if (ni == 0 && replay) {
+      return fail({}, "node 0 is a replay leaf, but the root must be a branch");
+    }
+    while (!open.empty() && open.back() == ni) {
+      open.pop_back();
+    }
+    const std::size_t parent_end = open.empty() ? tree.nodes.size() : open.back();
+    const std::size_t lo = ni == 0 ? parent_end : ni + 1;
+    const std::size_t hi = replay ? ni + 1 : parent_end;
+    if (node.subtree_end < lo || node.subtree_end > hi) {
+      return fail_node(ni, "'s subtree_end " + std::to_string(node.subtree_end) +
+                               " lies at or before the node or outside its parent's "
+                               "range (expected " +
+                               (lo == hi ? std::to_string(lo)
+                                         : "[" + std::to_string(lo) + ", " +
+                                               std::to_string(hi) + "]") +
+                               ")");
+    }
+    open.push_back(node.subtree_end);
+    if (node.frames_begin > node.frames_end || node.frames_end > tree.frames.size()) {
+      return fail_node(ni, "'s frame range [" + std::to_string(node.frames_begin) + ", " +
+                               std::to_string(node.frames_end) + ") runs past the tree's " +
+                               std::to_string(tree.frames.size()) + " frame trials");
+    }
+    const bool bad_trials =
+        node.end > trials.size() ||
+        (replay ? node.end != node.begin + 1
+                : node.begin > node.tail_begin || node.tail_begin > node.end);
+    if (bad_trials) {
+      const std::string range = "[" + std::to_string(node.begin) + ", " +
+                                std::to_string(node.end) + ")";
+      return fail_node(ni, (replay ? "'s replay range " + range + " is not one trial"
+                                   : "'s trial range " + range + " with tail from " +
+                                         std::to_string(node.tail_begin) +
+                                         " does not lie") +
+                               " inside the trial set of " +
+                               std::to_string(trials.size()) + " trials");
+    }
+  }
+
   // Pass 0: frame algebra. Every recorded FrameTrial is re-proved by
   // numeric matrix conjugation (nothing shared with the builder's lookup
   // tables) and must satisfy the purity rules. This runs before the stream
@@ -753,7 +805,7 @@ PlanProof PlanVerifier::verify_tree_plan(const TrialSet& trials,
   const std::uint64_t measured_mask = circuit_measured_mask(ctx_.circuit);
   for (std::size_t ni = 0; ni < tree.nodes.size(); ++ni) {
     const TreeNode& node = tree.nodes[ni];
-    for (const FrameTrial& ft : node.frame_trials) {
+    for (const FrameTrial& ft : tree.frames_of(node)) {
       if (!options_.frame_collapse) {
         return fail_trial(ft.trial,
                           "tree records frame-collapsed trials but the schedule "

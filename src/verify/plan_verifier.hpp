@@ -190,7 +190,12 @@ class PlanVerifier {
   PlanProof verify_schedule(const TrialSet& trials) const;
 
   /// Prove the prefix-tree execution plan (sched/tree.hpp) safe AND
-  /// equivalent to the sequential scheduler: linearize the tree, run the
+  /// equivalent to the sequential scheduler. First every range the flat
+  /// tree holds is checked against what it indexes — each subtree_end
+  /// after its node and inside its parent's range, each frame range inside
+  /// ExecTree::frames, each trial range inside the trial set — and a
+  /// malformed one is named by node before anything reads through it.
+  /// Then linearize the tree, run the
   /// full invariant pass on the linearization (reorder-order trial visits,
   /// checkpoint stack discipline, MSV bound, exact op-count telescoping),
   /// then require the linearized stream to equal the sequential walker's

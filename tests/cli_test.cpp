@@ -197,6 +197,18 @@ TEST(Cli, ErrorsAreReported) {
   EXPECT_EQ(run({"run", "--circuit", "ghz:8"}).code, 1);
 }
 
+TEST(Cli, RunRejectsThreadCountsAboveTheBound) {
+  // Four trials: the executor never starts more threads than trials, so a
+  // missing bound could not start 1025 threads here either.
+  const CliResult result =
+      run({"run", "--circuit", "qft4", "--trials", "4", "--threads", "1025"});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_NE(result.err.find("num_threads 1025 exceeds the supported maximum of 1024"),
+            std::string::npos)
+      << result.err;
+  EXPECT_EQ(result.out.find("ops executed"), std::string::npos);
+}
+
 TEST(Cli, EnumerateCommand) {
   const CliResult result =
       run({"enumerate", "--circuit", "bv4", "--max-errors", "1"});

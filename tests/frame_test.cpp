@@ -330,14 +330,16 @@ TEST(Frame, VerifierRejectsFramePropagatedThroughTGate) {
 
   // ...so force it by hand: drop the trial's replay subtree and record a
   // bogus frame for it on the root.
+  ASSERT_GT(tree.nodes.size(), 1u);
+  tree.nodes.resize(1);
   TreeNode& root = tree.nodes.front();
-  ASSERT_FALSE(root.children.empty());
-  root.children.clear();
+  root.subtree_end = 1;
   FrameTrial bogus;
   bogus.trial = error_trial;
   bogus.frame_x = 1;  // "X survived to the end" — it cannot have
   bogus.frame_ops = 1;
-  root.frame_trials.push_back(bogus);
+  tree.frames.push_back(bogus);
+  root.frames_end = root.frames_begin + 1;
   tree.frame_collapsed_trials = 1;
   tree.planned_frame_ops = 1;
 
@@ -367,12 +369,7 @@ TEST(Frame, VerifierRejectsCorruptedFrameMaskAndCounters) {
 
   // Flip one recorded frame bit: the numeric re-derivation must disagree.
   ExecTree bad_mask = tree;
-  for (TreeNode& node : bad_mask.nodes) {
-    if (!node.frame_trials.empty()) {
-      node.frame_trials.front().frame_z ^= 1;
-      break;
-    }
-  }
+  bad_mask.frames.front().frame_z ^= 1;
   const PlanProof mask_proof = verifier.verify_tree_plan(trials, bad_mask);
   EXPECT_FALSE(mask_proof.ok);
   EXPECT_NE(mask_proof.violating_trial, kNoIndex);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "bench_circuits/ghz.hpp"
 #include "bench_circuits/qft.hpp"
 #include "bench_circuits/suite.hpp"
 #include "common/error.hpp"
@@ -16,6 +17,7 @@
 #include "sched/backend.hpp"
 #include "sched/order.hpp"
 #include "sched/runner.hpp"
+#include "sched/tree.hpp"
 #include "service/service.hpp"
 #include "transpile/decompose.hpp"
 #include "trial/generator.hpp"
@@ -30,8 +32,11 @@ struct Workload {
   std::vector<Trial> trials;
 
   Workload(unsigned qubits, double rate, std::size_t n, std::uint64_t seed)
-      : circuit(decompose_to_cx_basis(make_qft(qubits))), ctx(circuit) {
-    const NoiseModel noise = NoiseModel::uniform(qubits, rate, rate * 4, 0.02);
+      : Workload(decompose_to_cx_basis(make_qft(qubits)),
+                 NoiseModel::uniform(qubits, rate, rate * 4, 0.02), n, seed) {}
+
+  Workload(Circuit c, const NoiseModel& noise, std::size_t n, std::uint64_t seed)
+      : circuit(std::move(c)), ctx(circuit) {
     Rng rng(seed);
     trials = generate_trials(circuit, ctx.layering, noise, n, rng);
     reorder_trials(trials);
@@ -328,6 +333,85 @@ TEST(PlanVerifier, ThrowingWrapperNamesCallerAndDiagnostic) {
 }
 
 // ---------------------------------------------------------------------------
+// Malformed flat trees: verify_tree_plan checks every range a node holds
+// before any pass reads through it, and names the node.
+
+/// A proved tree over `w`'s trials, built with `options`.
+ExecTree proved_tree(const Workload& w, const ScheduleOptions& options) {
+  const ExecTree tree = build_exec_tree(w.ctx, TrialSet(w.trials), options);
+  EXPECT_TRUE(PlanVerifier(w.ctx, options).verify_tree_plan(TrialSet(w.trials), tree).ok);
+  return tree;
+}
+
+/// verify_tree_plan's diagnostic for `tree`, which must be rejected.
+std::string rejection(const Workload& w, const ScheduleOptions& options,
+                      const ExecTree& tree) {
+  const PlanProof proof = PlanVerifier(w.ctx, options).verify_tree_plan(TrialSet(w.trials), tree);
+  EXPECT_FALSE(proof.ok);
+  return proof.diagnostic;
+}
+
+TEST(PlanVerifier, RejectsSubtreeEndOutsideItsRange) {
+  const Workload w(3, 0.05, 500, 3);
+  const ExecTree tree = proved_tree(w, {});
+  // A branch child of the root, with children of its own.
+  std::size_t ni = 1;
+  while (ni < tree.nodes.size() && tree.nodes[ni].subtree_end == ni + 1) {
+    ni = tree.nodes[ni].subtree_end;
+  }
+  ASSERT_LT(ni, tree.nodes.size());
+  const std::string name = "node " + std::to_string(ni) + "'s subtree_end";
+  for (const std::size_t bad : {std::size_t{0}, ni, tree.nodes.size() + 1}) {
+    ExecTree corrupt = tree;
+    corrupt.nodes[ni].subtree_end = static_cast<std::uint32_t>(bad);
+    const std::string diagnostic = rejection(w, {}, corrupt);
+    EXPECT_NE(diagnostic.find(name), std::string::npos) << bad << ": " << diagnostic;
+  }
+  // A grandchild reaching past its parent's range (but not the root's).
+  ExecTree corrupt = tree;
+  corrupt.nodes[ni + 1].subtree_end = tree.nodes[ni].subtree_end + 1;
+  const std::string diagnostic = rejection(w, {}, corrupt);
+  EXPECT_NE(diagnostic.find("node " + std::to_string(ni + 1) + "'s subtree_end"),
+            std::string::npos)
+      << diagnostic;
+}
+
+TEST(PlanVerifier, RejectsFrameRangePastTheFrames) {
+  const Workload w(decompose_to_cx_basis(make_ghz(5)),
+                   NoiseModel::uniform(5, 0.03, 0.1, 0.02), 500, 17);
+  ScheduleOptions options;
+  options.frame_collapse = true;
+  ExecTree tree = proved_tree(w, options);
+  ASSERT_FALSE(tree.frames.empty());
+  std::size_t ni = 0;
+  while (tree.nodes[ni].frames_begin == tree.nodes[ni].frames_end) {
+    ++ni;
+  }
+  tree.nodes[ni].frames_end = static_cast<std::uint32_t>(tree.frames.size() + 1);
+  const std::string diagnostic = rejection(w, options, tree);
+  EXPECT_NE(diagnostic.find("node " + std::to_string(ni) + "'s frame range"),
+            std::string::npos)
+      << diagnostic;
+}
+
+TEST(PlanVerifier, RejectsReplayRangePastTheTrialSet) {
+  const Workload w(3, 0.05, 500, 4);
+  ExecTree tree = proved_tree(w, {});
+  std::size_t ni = 0;
+  while (tree.nodes[ni].kind != TreeNode::Kind::kReplay) {
+    ++ni;
+  }
+  TreeNode& leaf = tree.nodes[ni];
+  leaf.begin = static_cast<std::uint32_t>(w.trials.size());
+  leaf.end = leaf.begin + 1;
+  leaf.tail_begin = leaf.end;
+  const std::string diagnostic = rejection(w, {}, tree);
+  EXPECT_NE(diagnostic.find("node " + std::to_string(ni) + "'s replay range"),
+            std::string::npos)
+      << diagnostic;
+}
+
+// ---------------------------------------------------------------------------
 // Entry-point run-limit guards (satellite): max_states == 0 stays the
 // documented "unlimited" sentinel everywhere; overflowed/negative counts
 // are rejected before any allocation is attempted.
@@ -391,6 +475,33 @@ TEST(RunLimits, ServiceRejectsOverflowedSpecsAsInvalid) {
   spec.config.max_states = 0;
   spec.config.num_threads = static_cast<std::size_t>(-2);
   EXPECT_EQ(service.try_submit(spec).status, SubmitStatus::kInvalid);
+  spec.config.num_threads = kMaxThreadCount + 1;
+  EXPECT_EQ(service.try_submit(spec).status, SubmitStatus::kInvalid);
+}
+
+TEST(RunLimits, RejectsThreadCountsAboveTheBoundBeforeGenerating) {
+  // The noise model is too small as well, a fault trial generation would
+  // report first; the thread bound must be named instead.
+  NoisyRunConfig config;
+  config.num_trials = 10;
+  config.num_threads = kMaxThreadCount + 1;
+  const NoiseModel small = NoiseModel::uniform(2, 0.02, 0.08, 0.02);
+  for (const bool analyze : {false, true}) {
+    try {
+      if (analyze) {
+        analyze_noisy(guard_circuit(), small, config);
+      } else {
+        run_noisy(guard_circuit(), small, config);
+      }
+      ADD_FAILURE() << "num_threads " << config.num_threads << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("num_threads 1025 exceeds"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  config.num_threads = kMaxThreadCount;
+  EXPECT_GT(analyze_noisy(guard_circuit(), guard_noise(), config).ops, 0u);
 }
 
 }  // namespace

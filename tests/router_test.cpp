@@ -51,7 +51,9 @@ TEST(HashRing, RemovalOnlyMovesTheRemovedBackendsKeys) {
   ring.add("c");
   std::map<std::uint64_t, std::string> before;
   for (std::uint64_t key = 0; key < 500; ++key) {
-    const std::uint64_t h = stable_hash64("k" + std::to_string(key));
+    std::string name = "k";
+    name += std::to_string(key);
+    const std::uint64_t h = stable_hash64(name);
     before[h] = ring.owner(h);
   }
   ring.remove("c");
@@ -79,7 +81,9 @@ TEST(HashRing, AllBackendsOwnSomeKeys) {
   ring.add("d");
   std::set<std::string> seen;
   for (std::uint64_t key = 0; key < 1000; ++key) {
-    seen.insert(ring.owner(stable_hash64("x" + std::to_string(key))));
+    std::string name = "x";
+    name += std::to_string(key);
+    seen.insert(ring.owner(stable_hash64(name)));
   }
   EXPECT_EQ(seen.size(), 4u);
 }

@@ -6,7 +6,9 @@
 
 #include "bench_circuits/ghz.hpp"
 #include "bench_circuits/qft.hpp"
+#include "bench_circuits/suite.hpp"
 #include "common/error.hpp"
+#include "noise/devices.hpp"
 #include "noise/noise_model.hpp"
 #include "obs/pauli_string.hpp"
 #include "service/job.hpp"
@@ -271,6 +273,43 @@ TEST(ServiceBatch, RunNoisyBatchAttributionSumsExactly) {
   }
 }
 
+TEST(ServiceBatch, FusedJobsNeverMerge) {
+  // A fused trial's last bits depend on the tree it runs in, so a fused
+  // job merged with another would not reproduce its standalone means.
+  const DeviceModel yorktown = yorktown_device();
+  JobSpec spec;
+  for (const BenchmarkEntry& entry : make_table1_suite(yorktown)) {
+    if (entry.name == "qft5") {
+      spec.circuit = entry.compiled;
+    }
+  }
+  ASSERT_GT(spec.circuit.num_gates(), 0u);
+  spec.noise = yorktown.noise;
+  spec.config.num_trials = 2048;
+  spec.config.fuse_gates = true;
+  spec.config.observables = {PauliString::from_label("ZZIII")};
+  JobSpec spec_a = spec;
+  spec_a.config.seed = 9;
+  JobSpec spec_b = spec;
+  spec_b.config.seed = 10;
+  ASSERT_EQ(batch_fingerprint(spec_a), batch_fingerprint(spec_b));
+
+  SimService service(manual_config());
+  const std::uint64_t id_a = service.submit(spec_a);
+  const std::uint64_t id_b = service.submit(spec_b);
+  EXPECT_EQ(service.run_pending(), 2u);
+  for (const auto& [id, job] : {std::pair{id_a, &spec_a}, std::pair{id_b, &spec_b}}) {
+    const JobResult result = *service.result(id);
+    ASSERT_EQ(result.state, JobState::kDone);
+    EXPECT_EQ(result.batch_size, 1u);
+    const NoisyRunResult solo = run_noisy(job->circuit, job->noise, job->config);
+    EXPECT_EQ(result.run.histogram, solo.histogram);
+    ASSERT_EQ(result.run.observable_means.size(), 1u);
+    EXPECT_EQ(result.run.observable_means[0], solo.observable_means[0]);
+  }
+  EXPECT_EQ(service.stats().merged_batches, 0u);
+}
+
 TEST(ServiceBatch, RunNoisyBatchRejectsMismatchedJobs) {
   const JobSpec a = make_spec(300, 1);
   JobSpec b = make_spec(300, 2);
@@ -279,6 +318,12 @@ TEST(ServiceBatch, RunNoisyBatchRejectsMismatchedJobs) {
   b = make_spec(300, 2);
   b.config.frame_collapse = true;
   EXPECT_THROW(run_noisy_batch(a.circuit, a.noise, {&a.config, &b.config}), Error);
+  JobSpec fused = make_spec(300, 4);
+  fused.config.fuse_gates = true;
+  JobSpec fused2 = make_spec(300, 5);
+  fused2.config.fuse_gates = true;
+  EXPECT_THROW(run_noisy_batch(a.circuit, a.noise, {&fused.config, &fused2.config}),
+               Error);
   JobSpec baseline = make_spec(300, 3);
   baseline.config.mode = ExecutionMode::kBaseline;
   JobSpec baseline2 = baseline;

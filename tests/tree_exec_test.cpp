@@ -192,9 +192,11 @@ TEST(TreeExec, VerifierRejectsCorruptedTree) {
   ExecTree bad_leaf = tree;
   bool corrupted = false;
   for (TreeNode& node : bad_leaf.nodes) {
-    if (node.kind == TreeNode::Kind::kReplay && node.trial + 1 < trials.size() &&
-        !(trials[node.trial].events == trials[node.trial + 1].events)) {
-      node.trial += 1;
+    if (node.kind == TreeNode::Kind::kReplay && node.end < trials.size() &&
+        !(trials[node.begin].events == trials[node.end].events)) {
+      node.begin += 1;
+      node.end += 1;
+      node.tail_begin += 1;
       corrupted = true;
       break;
     }

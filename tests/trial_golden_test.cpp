@@ -12,7 +12,9 @@
 //     entry frontier, trial ranges, tail, children, frame trials,
 //     peak_demand, subtree_ops), a per-node bit the test derives from the
 //     circuit (see permutation_suffix), and the tree totals, for frames off
-//     and on x max_states {0, 2, 3}.
+//     and on x max_states {0, 2, 3}. The nodes were records with parent,
+//     trial and child lists when the hashes were recorded; OldNodeWords
+//     derives those words from the flat depth-first layout.
 //
 // Inputs: the twelve Table I circuits on yorktown at two seeds, qft:8 on
 // the artificial device, and qft5 on a yorktown model with uniform, biased
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -100,8 +103,44 @@ std::vector<bool> permutation_suffix(const CircuitContext& ctx) {
   return suffix;
 }
 
+/// The node words the hashes were recorded over, derived from the flat
+/// tree: the parent index (-1 for the root), and for a replay its trial in
+/// `trial` with begin, end, tail_begin and tail_end all 0.
+struct OldNodeWords {
+  std::uint64_t parent = 0;
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  std::uint64_t trial = 0;
+  std::uint64_t tail_begin = 0;
+  std::uint64_t tail_end = 0;
+};
+
+std::vector<OldNodeWords> old_node_words(const ExecTree& tree) {
+  std::vector<OldNodeWords> words(tree.nodes.size());
+  std::vector<std::size_t> open;  // ancestors of the current node
+  for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
+    const TreeNode& node = tree.nodes[i];
+    while (!open.empty() && tree.nodes[open.back()].subtree_end <= i) {
+      open.pop_back();
+    }
+    OldNodeWords& w = words[i];
+    w.parent = open.empty() ? ~std::uint64_t{0} : open.back();
+    if (node.kind == TreeNode::Kind::kReplay) {
+      w.trial = node.begin;
+    } else {
+      w.begin = node.begin;
+      w.end = node.end;
+      w.tail_begin = node.tail_begin;
+      w.tail_end = node.end;
+    }
+    open.push_back(i);
+  }
+  return words;
+}
+
 std::uint64_t hash_tree(const CircuitContext& ctx, const ExecTree& tree) {
   const std::vector<bool> suffix = permutation_suffix(ctx);
+  const std::vector<OldNodeWords> words = old_node_words(tree);
   std::uint64_t h = fnv_word(kFnvBasis, tree.nodes.size());
   h = fnv_word(h, tree.num_trials);
   h = fnv_word(h, tree.planned_ops);
@@ -109,23 +148,30 @@ std::uint64_t hash_tree(const CircuitContext& ctx, const ExecTree& tree) {
   h = fnv_word(h, tree.peak_demand);
   h = fnv_word(h, tree.frame_collapsed_trials);
   h = fnv_word(h, tree.planned_frame_ops);
-  for (const TreeNode& node : tree.nodes) {
+  for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
+    const TreeNode& node = tree.nodes[i];
+    const OldNodeWords& w = words[i];
     h = fnv_word(h, static_cast<std::uint64_t>(node.kind));
-    h = fnv_word(h, node.parent);
+    h = fnv_word(h, w.parent);
     h = hash_event(h, node.entry_event);
     h = fnv_word(h, node.event_depth);
     h = fnv_word(h, node.entry_frontier);
-    h = fnv_word(h, node.begin);
-    h = fnv_word(h, node.end);
-    h = fnv_word(h, node.trial);
-    h = fnv_word(h, node.tail_begin);
-    h = fnv_word(h, node.tail_end);
-    h = fnv_word(h, node.children.size());
-    for (const std::size_t c : node.children) {
+    h = fnv_word(h, w.begin);
+    h = fnv_word(h, w.end);
+    h = fnv_word(h, w.trial);
+    h = fnv_word(h, w.tail_begin);
+    h = fnv_word(h, w.tail_end);
+    std::vector<std::uint64_t> children;
+    for (std::size_t c = i + 1; c < node.subtree_end; c = tree.nodes[c].subtree_end) {
+      children.push_back(c);
+    }
+    h = fnv_word(h, children.size());
+    for (const std::uint64_t c : children) {
       h = fnv_word(h, c);
     }
-    h = fnv_word(h, node.frame_trials.size());
-    for (const FrameTrial& ft : node.frame_trials) {
+    const std::span<const FrameTrial> frames = tree.frames_of(node);
+    h = fnv_word(h, frames.size());
+    for (const FrameTrial& ft : frames) {
       h = fnv_word(h, ft.trial);
       h = fnv_word(h, ft.frame_x);
       h = fnv_word(h, ft.frame_z);

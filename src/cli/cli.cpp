@@ -320,9 +320,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out, bool analyz
   const Circuit& circuit = workload.circuit;
 
   if (!options.trace_out.empty()) {
-    if (!telemetry::compiled()) {
-      usage_error("--trace-out requires a build with RQSIM_TELEMETRY=ON");
-    }
     telemetry::set_thread_lane("cli.main");
     telemetry::start_tracing();
   }

@@ -4,6 +4,7 @@
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "common/mul_add.hpp"
 #include "linalg/pauli.hpp"
 #include "sim/kernels.hpp"
 
@@ -158,8 +159,8 @@ std::vector<double> apply_measurement_flips(std::vector<double> probs,
     const std::uint64_t mask = std::uint64_t{1} << bit;
     std::vector<double> next(probs.size(), 0.0);
     for (std::uint64_t i = 0; i < probs.size(); ++i) {
-      next[i] += (1.0 - f) * probs[i];
-      next[i ^ mask] += f * probs[i];
+      next[i] = mul_add(1.0 - f, probs[i], next[i]);
+      next[i ^ mask] = mul_add(f, probs[i], next[i ^ mask]);
     }
     probs = std::move(next);
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/error.hpp"
+#include "common/mul_add.hpp"
 #include "dm/density_matrix.hpp"
 #include "linalg/pauli.hpp"
 #include "sched/order.hpp"
@@ -146,7 +147,7 @@ class WeightedDistSink : public TreeTrialSink {
     for (std::size_t t = first_trial; t < first_trial + count; ++t) {
       const double weight = weights_[t];
       for (std::size_t i = 0; i < probs->size(); ++i) {
-        distribution_[i] += weight * (*probs)[i];
+        distribution_[i] = mul_add(weight, (*probs)[i], distribution_[i]);
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -31,7 +32,58 @@ bool is_reordered(const TrialSet& trials) {
   return true;
 }
 
-TrialOrderer::TrialOrderer(const TrialSet& trials) : trials_(trials) {
+namespace {
+
+// The stable bucket recursion of Algorithm 1 over a permutation of a trial
+// set. Positions index the current order. Each position carries its
+// trial's generation index, event range and the group key of the depth
+// last sorted there, so the recursion reads the set itself only through a
+// per-event rank array.
+class TrialOrderer {
+ public:
+  /// Starts from the identity order.
+  explicit TrialOrderer(const TrialSet& trials);
+
+  /// Full reorder of the group [begin, end): sort_level at depth k, then
+  /// recursively within every subgroup that shares its k-th event.
+  void sort_from(std::size_t begin, std::size_t end, std::size_t k);
+
+  /// The generation index of the trial at each position (ends the
+  /// orderer's use).
+  std::vector<std::uint32_t> take_order() { return std::move(order_); }
+
+ private:
+  /// Event ranks: the index of (layer, position) among the set's distinct
+  /// pairs in layer-major order, times 16, plus op.
+  void build_ranks(std::span<const ErrorEvent> events);
+
+  /// Stable-sort positions [begin, end) by each trial's k-th event, trials
+  /// without a k-th event last, and load their keys: equal keys mean equal
+  /// events at depth k, and exhausted_ means the trial has no event there.
+  /// The range must be a group of the recursion: its trials share their
+  /// first k events.
+  void sort_level(std::size_t begin, std::size_t end, std::size_t k);
+
+  /// Move the records of [begin, end) so that local index i lands at
+  /// begin + dest[i].
+  void permute(std::size_t begin, std::size_t end, const std::uint32_t* dest);
+
+  // Per position:
+  std::vector<std::uint32_t> order_;  // generation index
+  std::vector<std::uint32_t> first_;  // first event in the set
+  std::vector<std::uint32_t> count_;  // number of events
+  std::vector<std::uint32_t> keys_;   // group key (see sort_level)
+
+  std::vector<std::uint32_t> rank_;  // per event of the set
+  std::uint32_t exhausted_ = 0;      // the key past every rank
+
+  std::vector<std::uint32_t> counts_;
+  std::vector<std::uint32_t> dest_;
+  std::vector<std::uint32_t> moved_;
+  std::vector<std::uint64_t> pairs_;
+};
+
+TrialOrderer::TrialOrderer(const TrialSet& trials) {
   const std::size_t n = trials.size();
   RQSIM_CHECK(n < std::numeric_limits<std::uint32_t>::max() &&
                   trials.total_errors() < std::numeric_limits<std::uint32_t>::max(),
@@ -45,11 +97,10 @@ TrialOrderer::TrialOrderer(const TrialSet& trials) : trials_(trials) {
     first_[t] = static_cast<std::uint32_t>(trials.event_offset(t));
     count_[t] = static_cast<std::uint32_t>(trials.num_errors(t));
   }
+  build_ranks(trials.all_events());
 }
 
-void TrialOrderer::build_ranks() {
-  ranked_ = true;
-  const std::span<const ErrorEvent> events = trials_.all_events();
+void TrialOrderer::build_ranks(std::span<const ErrorEvent> events) {
   rank_.resize(events.size());
   if (events.empty()) {
     return;
@@ -111,7 +162,9 @@ void TrialOrderer::permute(std::size_t begin, std::size_t end,
 }
 
 void TrialOrderer::sort_level(std::size_t begin, std::size_t end, std::size_t k) {
-  load_keys(begin, end, k);
+  for (std::size_t p = begin; p != end; ++p) {
+    keys_[p] = k < count_[p] ? rank_[first_[p] + k] : exhausted_;
+  }
   const std::size_t n = end - begin;
   if (n < 2) {
     return;
@@ -148,19 +201,10 @@ void TrialOrderer::sort_level(std::size_t begin, std::size_t end, std::size_t k)
     }
   }
   permute(begin, end, dest_.data());
-  if (n == size()) {
+  if (n == order_.size()) {
     // Only the root group is this large: release its temporary buffers.
     dest_ = {};
     moved_ = {};
-  }
-}
-
-void TrialOrderer::load_keys(std::size_t begin, std::size_t end, std::size_t k) {
-  if (!ranked_) {
-    build_ranks();
-  }
-  for (std::size_t p = begin; p != end; ++p) {
-    keys_[p] = rank_key(p, k);
   }
 }
 
@@ -179,6 +223,8 @@ void TrialOrderer::sort_from(std::size_t begin, std::size_t end, std::size_t k) 
     i = j;
   }
 }
+
+}  // namespace
 
 std::vector<std::uint32_t> reorder_permutation(const TrialSet& trials) {
   TrialOrderer orderer(trials);

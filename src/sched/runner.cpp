@@ -275,7 +275,6 @@ NoisyBatchResult run_noisy_batch(const Circuit& circuit, const NoiseModel& noise
     const TrialSet& trials = plan.trials();
     exec_config.num_threads = std::min<std::size_t>(
         exec_config.num_threads, std::max<std::size_t>(1, trials.size()));
-    exec_config.max_states = lead.max_states;
     exec_config.fuse_gates = lead.fuse_gates;
     SampledTrialSink sink(ctx, trials, n == 1 ? nullptr : &plan.batch.trial_jobs,
                           observables);

@@ -12,17 +12,11 @@ namespace rqsim {
 namespace {
 
 // Mirrors ScheduleWalker (sched/plan.cpp) shape-for-shape: the same group
-// loop, the same advance-before-fork frontier updates, the same singleton
-// and MSV-budget lowering to replay leaves. Any divergence between the two
-// recursions is caught by PlanVerifier::verify_tree_plan, which compares
-// the linearized tree against the walker's stream op for op.
-//
-// The builder is also Algorithm 1's recursion: unless the input is already
-// reordered, each branch first bucket-sorts its group by the next event
-// (TrialOrderer::sort_level), so sorting and tree emission are one pass.
-// Groups whose subtree is not built node by node (frame-collapsed groups,
-// and groups lowered to replays by the budget) are sorted to the end in
-// one sort_from call, so their trial indices are final when recorded.
+// loop over the reordered trials, the same advance-before-fork frontier
+// updates, the same singleton and MSV-budget lowering to replay leaves.
+// Any divergence between the two recursions is caught by
+// PlanVerifier::verify_tree_plan, which compares the linearized tree
+// against the walker's stream op for op.
 //
 // Nodes are appended in depth-first order, so a node's subtree_end is the
 // node count when its recursion returns. No node allocates: a node's
@@ -31,19 +25,23 @@ namespace {
 // contiguous range when the node completes.
 class TreeBuilder {
  public:
-  TreeBuilder(const CircuitContext& ctx, TrialOrderer& orderer,
+  /// `trials` must be in reorder order and outlive the builder.
+  TreeBuilder(const CircuitContext& ctx, const TrialSet& trials,
               const ScheduleOptions& options)
-      : ctx_(ctx), orderer_(orderer), options_(options) {
+      : ctx_(ctx), trials_(trials), options_(options) {
     for (const qubit_t q : ctx.circuit.measured_qubits()) {
       measured_mask_ |= std::uint64_t{1} << q;
     }
   }
 
-  /// `sorted`: the orderer's current order is already the reorder order.
-  ExecTree build(bool sorted) {
+  ExecTree build() {
     ExecTree tree;
-    const std::size_t n = orderer_.size();
+    const std::size_t n = trials_.size();
+    RQSIM_CHECK(n < std::numeric_limits<std::uint32_t>::max(),
+                "build_exec_tree: trial sets must hold fewer than 2^32 - 1 trials "
+                "(TreeNode indices are 32-bit)");
     tree.num_trials = n;
+    tree.max_states = options_.max_states;
     if (n == 0) {
       return tree;
     }
@@ -53,7 +51,7 @@ class TreeBuilder {
     // reserving it avoids reallocating the node array while it grows.
     tree.nodes.reserve(n + 1);
     tree.peak_demand = build_branch(nullptr, 0, n, /*event_depth=*/0, /*depth=*/0,
-                                    /*entry_frontier=*/0, sorted);
+                                    /*entry_frontier=*/0);
     tree.planned_forks = tree.nodes.size() - 1;
     return tree;
   }
@@ -101,7 +99,7 @@ class TreeBuilder {
     node.end = node.begin + 1;
     node.tail_begin = node.end;
     node.peak_demand = 1;
-    node.subtree_ops = replay_ops(orderer_.events(t), event_depth, frontier);
+    node.subtree_ops = replay_ops(trials_[t].events, event_depth, frontier);
     tree_->planned_ops += node.subtree_ops;
     const std::uint32_t idx = push_node(node);
     tree_->nodes[idx].subtree_end = idx + 1;
@@ -121,7 +119,7 @@ class TreeBuilder {
     const std::size_t before = frames.size();
     for (std::size_t t = begin; t != end; ++t) {
       const FramePropagation p = propagate_frame_to_end(
-          ctx_.circuit, ctx_.layering, orderer_.events(t), event_depth);
+          ctx_.circuit, ctx_.layering, trials_[t].events, event_depth);
       if (!p.ok || !frame_x_confined_to(p.frame, measured_mask_) ||
           (options_.frame_observables && p.frame.x != 0)) {
         frames.resize(before);
@@ -140,17 +138,10 @@ class TreeBuilder {
   /// Build the kBranch subtree for trials [begin, end) sharing
   /// `event_depth` events (entry_event is the shared event just injected,
   /// null for the root). Returns the node's peak demand. Matches
-  /// ScheduleWalker::walk. `sorted`: the group is already in reorder order.
+  /// ScheduleWalker::walk.
   std::uint32_t build_branch(const ErrorEvent* entry_event, std::size_t begin,
                              std::size_t end, std::size_t event_depth,
-                             std::size_t depth, layer_index_t entry_frontier,
-                             bool sorted) {
-    // Algorithm 1 at this depth: group the trials by their next event.
-    if (sorted) {
-      orderer_.load_keys(begin, end, event_depth);
-    } else {
-      orderer_.sort_level(begin, end, event_depth);
-    }
+                             std::size_t depth, layer_index_t entry_frontier) {
     const opcount_t ops_before = tree_->planned_ops;
     std::uint32_t idx = 0;
     {
@@ -171,21 +162,13 @@ class TreeBuilder {
     std::uint32_t peak = 1;
     layer_index_t frontier = entry_frontier;
     std::size_t i = begin;
-    while (i != end && orderer_.key(i) != orderer_.exhausted()) {
-      const ErrorEvent event = orderer_.events(i)[event_depth];
+    // Branching subgroups: trials with a further error, in event order.
+    while (i != end && trials_[i].events.size() > event_depth) {
+      const ErrorEvent event = trials_[i].events[event_depth];
       std::size_t j = i + 1;
-      while (j != end && orderer_.key(j) == orderer_.key(i)) {
+      while (j != end && trials_[j].events.size() > event_depth &&
+             trials_[j].events[event_depth] == event) {
         ++j;
-      }
-      bool group_sorted = sorted;
-      const auto sort_group = [&] {
-        if (!group_sorted) {
-          orderer_.sort_from(i, j, event_depth + 1);
-          group_sorted = true;
-        }
-      };
-      if (options_.frame_collapse) {
-        sort_group();
       }
       if (options_.frame_collapse && try_collapse_group(i, j, event_depth)) {
         // The whole subtree is frame bookkeeping: no advance to the branch
@@ -207,9 +190,8 @@ class TreeBuilder {
       } else if (options_.max_states == 0 || depth + 2 < options_.max_states) {
         tree_->planned_ops += 1;  // the child's shared entry-error injection
         peak = std::max(peak, 1 + build_branch(&event, i, j, event_depth + 1, depth + 1,
-                                               frontier, group_sorted));
+                                               frontier));
       } else {
-        sort_group();
         for (std::size_t t = i; t != j; ++t) {
           peak = std::max(peak, 1 + make_replay(t, event_depth, frontier));
         }
@@ -245,7 +227,7 @@ class TreeBuilder {
   }
 
   const CircuitContext& ctx_;
-  TrialOrderer& orderer_;
+  const TrialSet& trials_;
   const ScheduleOptions& options_;
   ExecTree* tree_ = nullptr;
   std::uint64_t measured_mask_ = 0;
@@ -351,13 +333,10 @@ OrderedTrials order_trials(const CircuitContext& ctx, TrialSet trials,
                            const ScheduleOptions& options) {
   check_options(options);
   OrderedTrials out;
-  {
-    TrialOrderer orderer(trials);
-    out.tree = TreeBuilder(ctx, orderer, options).build(/*sorted=*/false);
-    out.order = orderer.take_order();
-  }
+  out.order = reorder_permutation(trials);
   trials.reorder(out.order);
   out.trials = std::move(trials);
+  out.tree = TreeBuilder(ctx, out.trials, options).build();
   return out;
 }
 
@@ -365,8 +344,7 @@ ExecTree build_exec_tree(const CircuitContext& ctx, const TrialSet& trials,
                          const ScheduleOptions& options) {
   RQSIM_CHECK(is_reordered(trials), "build_exec_tree: trials must be reordered first");
   check_options(options);
-  TrialOrderer orderer(trials);
-  return TreeBuilder(ctx, orderer, options).build(/*sorted=*/true);
+  return TreeBuilder(ctx, trials, options).build();
 }
 
 ExecTree build_exec_tree(const CircuitContext& ctx, const std::vector<Trial>& trials,

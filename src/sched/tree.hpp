@@ -8,6 +8,12 @@
 // task, which is what lets the executor (sched/tree_exec.hpp) keep the
 // paper's op count at any thread count: no shared prefix is executed twice.
 //
+// Sort, then build, as the paper does: order_trials runs Algorithm 1
+// (reorder_permutation, sched/order.hpp), rearranges the set into that
+// order, and builds the tree over the sorted trials with the walker's own
+// group loop. build_exec_tree is the same builder for a set that is
+// already sorted (a merged batch).
+//
 // Node semantics mirror the sequential walker exactly:
 //
 //   kBranch — a group of trials sharing `event_depth` events. Its buffer
@@ -63,8 +69,8 @@ struct FrameTrial {
 /// memory. Nodes are stored in depth-first order, so a node's subtree is
 /// the contiguous range [index, subtree_end) of ExecTree::nodes and its
 /// children are the sibling chain that starts at index + 1 and steps by
-/// each child's subtree_end. Indices are 32-bit: TrialOrderer rejects sets
-/// of 2^32 or more trials or events, and the builder checks the node count.
+/// each child's subtree_end. Indices are 32-bit: the builder rejects sets
+/// of 2^32 - 1 or more trials and checks the node count.
 struct TreeNode {
   enum class Kind : std::uint8_t { kBranch, kReplay };
 
@@ -151,6 +157,11 @@ struct ExecTree {
   /// global live-state bound when max_states is set.
   std::size_t peak_demand = 1;
 
+  /// The MSV budget the tree was built with (ScheduleOptions::max_states,
+  /// 0 = unlimited). The replay lowering keeps peak_demand within it, and
+  /// execute_tree's admission control rations live states against it.
+  std::size_t max_states = 0;
+
   /// Trials finished by Pauli-frame collapse across the whole tree, and
   /// the conjugation-table lookups their propagation cost. When collapse
   /// is off (or nothing collapsed) both are 0 and the tree is op-for-op
@@ -181,19 +192,17 @@ struct OrderedTrials {
   ExecTree tree;
 };
 
-/// Algorithm 1 and the tree build as one recursion (sched/order.hpp): the
-/// trials are bucket-sorted group by group while the tree is emitted.
-/// Equal to reorder_trials followed by build_exec_tree: the order is
-/// std::stable_sort(trial_order_less) index for index, and the tree is the
-/// one build_exec_tree builds over the reordered set, node for node. The
-/// MSV budget in `options` lowers over-budget branches to kReplay leaves
-/// exactly like the sequential walker, so the tree schedule and the
+/// Algorithm 1, then the tree build: reorder_permutation (sched/order.hpp)
+/// puts the trials in reorder order, std::stable_sort(trial_order_less)
+/// index for index, and build_exec_tree's builder runs over the sorted
+/// set. The MSV budget in `options` lowers over-budget branches to kReplay
+/// leaves exactly like the sequential walker, so the tree schedule and the
 /// sequential schedule stay op-identical for every budget.
 OrderedTrials order_trials(const CircuitContext& ctx, TrialSet trials,
                            const ScheduleOptions& options = {});
 
 /// The execution tree of `trials`, which must already be in reorder order
-/// (a merged batch is): the same builder, with every sort skipped.
+/// (a merged batch is; checked).
 ExecTree build_exec_tree(const CircuitContext& ctx, const TrialSet& trials,
                          const ScheduleOptions& options = {});
 

@@ -71,7 +71,7 @@ class TreeExecutor {
         trials_(trials),
         sink_(sink),
         num_workers_(std::max<std::size_t>(1, config.num_threads)),
-        budget_(config.max_states),
+        budget_(tree.max_states),
         pool_(kMaxPooledBuffers, num_workers_),
         workers_(num_workers_) {
     if (config.fuse_gates) {
@@ -96,8 +96,7 @@ class TreeExecutor {
     // whole tree peak (the replay lowering guarantees it fits).
     if (budget_ != 0) {
       RQSIM_CHECK(tree_.peak_demand <= budget_,
-                  "execute_tree: tree peak demand exceeds the MSV budget (tree "
-                  "built with a different budget?)");
+                  "execute_tree: tree peak demand exceeds its MSV budget");
       effective_budget_ = budget_;
       tokens_left_.store(budget_ - tree_.peak_demand, std::memory_order_relaxed);
     } else {

@@ -28,9 +28,10 @@
 // (verify/plan_verifier.hpp) proves the schedule-level equality statically;
 // the executor's own counters confirm it at run time.
 //
-// Global MSV accounting (max_states): tokens ration *materialized* buffers
-// only — an unmaterialized CoW fork occupies no memory, so it needs no
-// token to wait in a deque. With max_states == 0 there is consequently
+// Global MSV accounting (ExecTree::max_states, the budget the tree was
+// built with): tokens ration *materialized* buffers only — an
+// unmaterialized CoW fork occupies no memory, so it needs no token to wait
+// in a deque. With max_states == 0 there is consequently
 // nothing to ration: every chunk queues, and inline_fallbacks stays zero.
 // With a budget, admission control is a banker-style reservation against
 // one shared token pool: a chunk runs *concurrently* only if it can
@@ -93,11 +94,6 @@ class TreeTrialSink {
 struct TreeExecConfig {
   /// Worker threads; 0 or 1 executes on the calling thread.
   std::size_t num_threads = 1;
-
-  /// Global MSV budget (0 = unlimited). Must equal the budget the tree was
-  /// built with: the tree's replay lowering guarantees peak_demand <=
-  /// max_states, which admission control relies on.
-  std::size_t max_states = 0;
 
   /// Advance through the gate-fusion engine (one FusionCache per worker —
   /// the cache memoizes lazily and is not thread-safe).

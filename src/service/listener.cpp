@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <utility>
 
@@ -49,6 +50,7 @@ void JsonlListener::run() {
       }
       break;  // listen socket closed by stop()
     }
+    reap_finished();
     std::lock_guard<std::mutex> lock(conn_mu_);
     if (stopping_.load()) {
       ::close(fd);
@@ -102,6 +104,26 @@ void JsonlListener::handle_connection(int fd) {
       break;
     }
   }
+  finished_.push_back(std::this_thread::get_id());
+}
+
+void JsonlListener::reap_finished() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    for (const std::thread::id id : finished_) {
+      const auto it = std::find_if(conn_threads_.begin(), conn_threads_.end(),
+                                   [id](const std::thread& t) { return t.get_id() == id; });
+      if (it != conn_threads_.end()) {  // else stop() has taken it
+        done.push_back(std::move(*it));
+        conn_threads_.erase(it);
+      }
+    }
+    finished_.clear();
+  }
+  for (std::thread& t : done) {
+    t.join();
+  }
 }
 
 void JsonlListener::stop() {
@@ -117,6 +139,7 @@ void JsonlListener::stop() {
       ::shutdown(fd, SHUT_RDWR);  // wake blocked reads; threads close the fds
     }
     threads.swap(conn_threads_);
+    finished_.clear();
   }
   for (std::thread& t : threads) {
     if (t.joinable() && t.get_id() != std::this_thread::get_id()) {

@@ -8,9 +8,11 @@
 // handler. Request lines longer than kMaxLineBytes (service/protocol.hpp)
 // are discarded and answered with an "oversized_line" error — the
 // connection stays usable because the reader re-synchronizes on the next
-// newline. After each response the stop predicate says whether that
-// request stopped the front end; if so the accept loop ends, open
-// connections are drained, and run() returns.
+// newline. A finished connection's thread is joined on the next accept, so
+// a long-lived listener holds threads (and their stacks) only for the
+// connections that are open. After each response the stop predicate says
+// whether that request stopped the front end; if so the accept loop ends,
+// open connections are drained, and run() returns.
 #pragma once
 
 #include <atomic>
@@ -58,6 +60,9 @@ class JsonlListener {
  private:
   void handle_connection(int fd);
 
+  /// Join the connection threads that have returned.
+  void reap_finished();
+
   const std::string unix_path_;
   const LineHandler handler_;
   const StopPredicate stop_after_;
@@ -67,6 +72,8 @@ class JsonlListener {
   std::mutex conn_mu_;
   std::vector<int> open_fds_;
   std::vector<std::thread> conn_threads_;
+  /// Connection threads whose handle_connection has ended, to be joined.
+  std::vector<std::thread::id> finished_;
 };
 
 }  // namespace rqsim

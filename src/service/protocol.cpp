@@ -382,8 +382,8 @@ Json ProtocolHandler::handle(const Json& request) {
       Json response = Json::object();
       response.set("ok", Json(true));
       response.set("stats", std::move(body));
-      // Full process-wide metrics snapshot (empty object when telemetry is
-      // compiled out or disabled): registry counters, gauges, histograms.
+      // Full process-wide metrics snapshot (values stop moving while
+      // telemetry is disabled): registry counters, gauges, histograms.
       response.set("telemetry",
                    metrics_snapshot_to_json(telemetry::snapshot_metrics()));
       response.set("slo", slo_to_json(service_.slo_snapshot()));

@@ -2,6 +2,7 @@
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "common/mul_add.hpp"
 #include "sim/kernel_engine.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -45,30 +46,14 @@ inline double* amp_data(StateVector& state) {
   return reinterpret_cast<double*>(state.amplitudes().data());
 }
 
-// a*b ± c with the floating-point contraction written out explicitly.
-//
 // Every amplitude must round the same way wherever it sits in the sweep:
 // the blocked gate-run applier (sim/gate_runs.hpp) moves amplitudes into a
 // small scratch register and back, and the AVX-512 mat2 path replaces the
 // compiler's loop. With implicit contraction (`-ffp-contract=fast`, and
 // GCC's complex-multiply vector pattern, which emits vfmaddsub even under
 // `-ffp-contract=off`) the compiler fuses mul+add differently in the
-// vectorized loop body than in its scalar tail, so an amplitude's rounding
-// would depend on its position. Spelling the fma in source pins one
-// rounding per amplitude in every code path. On targets without hardware
-// FMA nothing is contracted anywhere, so the plain two-rounding form is
-// equally position-invariant (and avoids the libm software-fma call).
-#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
-inline double mul_add(double a, double b, double c) {
-  return __builtin_fma(a, b, c);
-}
-inline double mul_sub(double a, double b, double c) {
-  return __builtin_fma(a, b, -c);
-}
-#else
-inline double mul_add(double a, double b, double c) { return a * b + c; }
-inline double mul_sub(double a, double b, double c) { return a * b - c; }
-#endif
+// vectorized loop body than in its scalar tail, so the complex products
+// below spell every fma out with mul_add / mul_sub (common/mul_add.hpp).
 
 #if defined(RQSIM_MAT2_AVX512)
 // m·a for four interleaved complex lanes. Even (real) lanes compute

@@ -8,9 +8,9 @@
 // clock domain across metrics, traces and service latencies — mixing clocks
 // is how cross-subsystem timelines stop lining up.
 //
-// These helpers are always available, independent of the RQSIM_TELEMETRY
-// compile switch: timing a run is core functionality, recording it into the
-// registry is the optional part.
+// These helpers work whether or not telemetry is enabled at run time:
+// timing a run is core functionality, recording it into the registry is the
+// optional part.
 
 #include <chrono>
 #include <cstdint>

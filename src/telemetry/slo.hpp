@@ -14,9 +14,9 @@
 // This is pure data (plain structs, no atomics): SimService records under
 // its own mutex, and the router re-merges the JSON form from many backends
 // (service/protocol.hpp slo_to_json/slo_from_json) — both paths the same
-// aggregation code, same as MetricsSnapshot merging. Always compiled,
-// independent of RQSIM_TELEMETRY: latency accounting is service
-// functionality, not optional instrumentation.
+// aggregation code, same as MetricsSnapshot merging. It records whether or
+// not telemetry is enabled: latency accounting is service functionality,
+// not optional instrumentation.
 
 #include <cstdint>
 #include <map>

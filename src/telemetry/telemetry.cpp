@@ -1,9 +1,6 @@
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
-
-#if !defined(RQSIM_TELEMETRY_OFF)
-
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -286,15 +283,8 @@ void reset_metrics_for_test() {
   }
 }
 
-}  // namespace rqsim::telemetry
-
-#endif  // !RQSIM_TELEMETRY_OFF
-
-// Snapshot folding is pure data math on MetricValue records — available
-// regardless of whether the registry itself is compiled in, since a router
-// built with RQSIM_TELEMETRY=OFF still merges snapshots that *backends*
-// produced.
-namespace rqsim::telemetry {
+// Snapshot folding is pure data math on MetricValue records: the router
+// merges snapshots that *backends* produced.
 
 double histogram_quantile(const std::vector<std::uint64_t>& buckets,
                           std::uint64_t count, double q) {

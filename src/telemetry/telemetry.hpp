@@ -19,9 +19,8 @@
 // increment one logical metric (e.g. "sim.matvec_ops").
 //
 // Cost when disabled: `set_enabled(false)` (or env RQSIM_TELEMETRY=0) turns
-// every record into a relaxed atomic-bool load and a branch. Compiling with
-// -DRQSIM_TELEMETRY=OFF (cmake option) removes even that: the classes below
-// collapse to empty inline no-ops.
+// every record into a relaxed atomic-bool load and a branch. That runtime
+// switch is the only off switch: every build compiles the registry in.
 
 #include <cstddef>
 #include <cstdint>
@@ -64,10 +63,9 @@ struct MetricsSnapshot {
 /// Estimate the q-quantile (q in [0,1]) of a log2-bucketed histogram with
 /// `count` total samples: walk the cumulative bucket counts to the bucket
 /// holding the q-th sample and interpolate linearly inside its value range
-/// [2^(i-1), 2^i) (bucket 0 is exactly {0}). Pure data math — always
-/// compiled, so the router can compute fleet quantiles over merged
-/// snapshots regardless of either side's RQSIM_TELEMETRY setting. Returns
-/// 0 for empty histograms.
+/// [2^(i-1), 2^i) (bucket 0 is exactly {0}). Pure data math, so the router
+/// can compute fleet quantiles over merged snapshots whether or not either
+/// side records. Returns 0 for empty histograms.
 double histogram_quantile(const std::vector<std::uint64_t>& buckets,
                           std::uint64_t count, double q);
 
@@ -76,19 +74,8 @@ double histogram_quantile(const std::vector<std::uint64_t>& buckets,
 /// the max. Metrics unknown to `dst` are appended; `dst` stays sorted by
 /// name. This is how the fleet router aggregates per-backend registry
 /// snapshots into one fleet view — pure data folding, so it works the same
-/// whether this process compiled telemetry in or out.
+/// whether or not this process records.
 void merge_snapshot(MetricsSnapshot& dst, const MetricsSnapshot& src);
-
-/// True when the registry is compiled in (RQSIM_TELEMETRY=ON).
-constexpr bool compiled() {
-#if defined(RQSIM_TELEMETRY_OFF)
-  return false;
-#else
-  return true;
-#endif
-}
-
-#if !defined(RQSIM_TELEMETRY_OFF)
 
 /// Runtime switch. Defaults to on; env RQSIM_TELEMETRY=0/off/false starts it
 /// off. Reading it is a relaxed atomic load.
@@ -138,37 +125,5 @@ std::uint64_t counter_value(const std::string& name);
 /// Zero every slot (live shards and retired totals). Test-only: callers
 /// must guarantee no thread is concurrently recording.
 void reset_metrics_for_test();
-
-#else  // RQSIM_TELEMETRY_OFF — compile-time escape hatch: all no-ops.
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-
-class Counter {
- public:
-  explicit Counter(const char*) {}
-  void add(std::uint64_t) {}
-  void increment() {}
-  std::uint64_t value() const { return 0; }
-};
-
-class MaxGauge {
- public:
-  explicit MaxGauge(const char*) {}
-  void record(std::uint64_t) {}
-  std::uint64_t value() const { return 0; }
-};
-
-class Histogram {
- public:
-  explicit Histogram(const char*) {}
-  void record(std::uint64_t) {}
-};
-
-inline MetricsSnapshot snapshot_metrics() { return {}; }
-inline std::uint64_t counter_value(const std::string&) { return 0; }
-inline void reset_metrics_for_test() {}
-
-#endif  // RQSIM_TELEMETRY_OFF
 
 }  // namespace rqsim::telemetry

@@ -1,15 +1,19 @@
 #include "telemetry/trace.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
+#include <vector>
 
 #include "telemetry/clock.hpp"
 
 namespace rqsim::telemetry {
 
-// Compiled even with RQSIM_TELEMETRY_OFF: trace ids ride the JSONL protocol
-// regardless of whether this process records spans.
+// Trace ids ride the JSONL protocol whether or not this process records
+// spans.
 std::uint64_t mint_trace_id() {
   static std::atomic<std::uint64_t> counter{0};
   // splitmix64 finalizer over clock ⊕ sequence: distinct per call in one
@@ -38,16 +42,6 @@ std::uint64_t trace_id_from_hex(const std::string& hex) {
   return static_cast<std::uint64_t>(v);
 }
 
-}  // namespace rqsim::telemetry
-
-#if !defined(RQSIM_TELEMETRY_OFF)
-
-#include <algorithm>
-#include <memory>
-#include <mutex>
-#include <vector>
-
-namespace rqsim::telemetry {
 namespace {
 
 struct TraceEvent {
@@ -417,5 +411,3 @@ std::size_t trace_thread_buffers() {
 }
 
 }  // namespace rqsim::telemetry
-
-#endif  // !RQSIM_TELEMETRY_OFF

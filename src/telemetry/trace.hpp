@@ -48,7 +48,7 @@ inline constexpr std::size_t kMaxEventsPerThread = 1u << 16;
 /// Mint a fleet-unique 64-bit trace id (never 0; 0 means "no trace").
 /// Mixes the monotonic clock with a process-local counter through an
 /// integer finalizer — collision-resistant across processes without
-/// touching the RNG layer. Available even with telemetry compiled out so
+/// touching the RNG layer. Minted whether or not tracing is active, so
 /// protocol code can always propagate ids.
 std::uint64_t mint_trace_id();
 
@@ -57,8 +57,6 @@ std::string trace_id_to_hex(std::uint64_t id);
 
 /// Inverse of trace_id_to_hex; returns 0 on malformed input.
 std::uint64_t trace_id_from_hex(const std::string& hex);
-
-#if !defined(RQSIM_TELEMETRY_OFF)
 
 /// Begin a fresh trace: clears previously collected events, sets the time
 /// origin, and starts admitting records. Safe while other threads record —
@@ -144,42 +142,6 @@ std::uint64_t trace_dropped_events();
 /// first admitted event and freed at thread exit when empty, so this stays
 /// 0 in processes that never trace — exposed so tests can assert that.
 std::size_t trace_thread_buffers();
-
-#else  // RQSIM_TELEMETRY_OFF
-
-inline void start_tracing() {}
-inline void stop_tracing() {}
-inline bool tracing_active() { return false; }
-inline void set_thread_lane(const std::string&) {}
-inline void trace_instant(const char*) {}
-inline void trace_counter(const char*, std::uint64_t) {}
-inline void trace_complete(const char*, std::uint64_t, std::uint64_t,
-                           std::uint64_t) {}
-inline std::uint64_t current_trace_id() { return 0; }
-inline void set_trace_context(std::uint64_t) {}
-
-class TraceContext {
- public:
-  explicit TraceContext(std::uint64_t) {}
-  TraceContext(const TraceContext&) = delete;
-  TraceContext& operator=(const TraceContext&) = delete;
-};
-
-inline std::uint64_t trace_epoch_ns() { return 0; }
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
-
-inline std::string trace_to_json() { return "{\"traceEvents\":[]}"; }
-inline long export_trace(const std::string&) { return -1; }
-inline std::uint64_t trace_dropped_events() { return 0; }
-inline std::size_t trace_thread_buffers() { return 0; }
-
-#endif  // RQSIM_TELEMETRY_OFF
 
 }  // namespace rqsim::telemetry
 

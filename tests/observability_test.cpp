@@ -117,7 +117,7 @@ TEST(Slo, MergeFoldsTenantsAndTotals) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace ids (always compiled, even with RQSIM_TELEMETRY=OFF).
+// Trace ids.
 // ---------------------------------------------------------------------------
 
 TEST(TraceId, MintedIdsAreNonZeroAndDistinct) {
@@ -143,9 +143,6 @@ TEST(TraceId, HexRoundTripAndMalformedInput) {
 }
 
 TEST(Trace, CompleteEventExportsDurationAndTraceId) {
-  if (!telemetry::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telemetry::start_tracing();
   const std::uint64_t t0 = telemetry::now_ns();
   const std::uint64_t id = telemetry::mint_trace_id();
@@ -410,9 +407,6 @@ Json trace_op(const std::string& action) {
 }
 
 TEST(ObservabilityE2E, FleetTraceLinksSpansAndSloCarriesExemplars) {
-  if (!telemetry::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   Fleet fleet(2);
   FleetRouter router(fleet.router_config());
 
@@ -508,9 +502,6 @@ TEST(ObservabilityE2E, FleetTraceLinksSpansAndSloCarriesExemplars) {
 // Trace start/stop through a single service endpoint (no router): the
 // protocol verb alone controls the window and collect returns one buffer.
 TEST(ObservabilityE2E, SingleServiceTraceVerbRoundTrip) {
-  if (!telemetry::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   ServiceConfig service_config;
   service_config.num_workers = 0;  // drained manually
   SimService service(service_config);

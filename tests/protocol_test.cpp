@@ -2,10 +2,13 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "service/json.hpp"
@@ -420,6 +423,54 @@ TEST(ProtocolErrors, ClientConnectRetriesAreBoundedOnDeadEndpoint) {
   options.backoff_initial_ms = 1;
   options.backoff_max_ms = 4;
   EXPECT_THROW(ServiceClient::connect_tcp("127.0.0.1", dead_port, options), Error);
+}
+
+/// VmSize of this process in KiB, read from /proc/self/status (0 when
+/// the file is unavailable).
+std::uint64_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoull(line.substr(7));
+    }
+  }
+  return 0;
+}
+
+TEST(ProtocolE2E, FinishedConnectionsReleaseTheirThreads) {
+  // Each connection runs on its own thread. Unless the listener joins a
+  // finished connection's thread, its stack stays mapped for the life of
+  // the server, and a backend behind the router (which opens a connection
+  // per forwarded op and per health probe) eventually cannot start one.
+  RunningServer running(ServiceConfig{0, 8, 8});
+  const Json ping_request = Json::parse("{\"op\":\"ping\"}");
+  const auto ping = [&](ServiceClient& client) {
+    EXPECT_TRUE(client.request(ping_request).at("pong").as_bool());
+  };
+  // Warm up with four connections open at once, so the allocator's
+  // per-thread arenas (64 MiB of address space each) and the thread stack
+  // cache already cover the few connection threads that can overlap below
+  // before the baseline is read.
+  {
+    std::vector<ServiceClient> clients;
+    for (int i = 0; i < 4; ++i) {
+      clients.push_back(running.client());
+    }
+    for (ServiceClient& client : clients) {
+      ping(client);
+    }
+  }
+  const std::uint64_t before = vm_size_kib();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 200; ++i) {
+    ServiceClient client = running.client();
+    ping(client);
+  }
+  const std::uint64_t after = vm_size_kib();
+  EXPECT_LT(after, before + 64 * 1024)
+      << "VmSize grew from " << before << " KiB to " << after
+      << " KiB over 200 sequential connections";
 }
 
 TEST(ProtocolE2E, UnixSocketTransport) {

@@ -54,7 +54,6 @@ inline RecordedRun run_recorded(const CircuitContext& ctx, const std::vector<Tri
   run.tree = build_exec_tree(ctx, trials, options);
   TreeExecConfig config;
   config.num_threads = threads;
-  config.max_states = options.max_states;
   RecordingSink sink(trials.size());
   run.stats = execute_tree(ctx, run.tree, trials, config, sink);
   run.final_states = std::move(sink.states);

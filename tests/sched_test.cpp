@@ -69,6 +69,9 @@ TEST(Scheduler, RequiresReorderedInput) {
   trials[1].events = {{0, 0, 1}};
   CountBackend backend(ctx);
   EXPECT_THROW(schedule_trials(ctx, TrialSet(trials), backend), Error);
+  // The tree builder groups trials with the walker's loop, so it has the
+  // same precondition.
+  EXPECT_THROW(build_exec_tree(ctx, TrialSet(trials)), Error);
 }
 
 TEST(Scheduler, SingleErrorFreeTrialCostsOneCircuit) {

@@ -44,9 +44,6 @@ std::size_t count_occurrences(const std::string& text, const std::string& needle
 // Registry basics.
 
 TEST(TelemetryRegistry, CounterAggregatesAcrossThreadsAndRetirement) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telem::reset_metrics_for_test();
   telem::Counter counter("test.counter_agg");
   constexpr std::size_t kThreads = 8;
@@ -72,9 +69,6 @@ TEST(TelemetryRegistry, CounterAggregatesAcrossThreadsAndRetirement) {
 }
 
 TEST(TelemetryRegistry, MaxGaugeFoldsWithMax) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telem::reset_metrics_for_test();
   telem::MaxGauge gauge("test.gauge_max");
   gauge.record(7);
@@ -88,9 +82,6 @@ TEST(TelemetryRegistry, MaxGaugeFoldsWithMax) {
 }
 
 TEST(TelemetryRegistry, HistogramLogBucketsCountAndSum) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telem::reset_metrics_for_test();
   telem::Histogram hist("test.hist");
   for (const std::uint64_t value : {0ull, 1ull, 2ull, 3ull, 8ull}) {
@@ -113,9 +104,6 @@ TEST(TelemetryRegistry, HistogramLogBucketsCountAndSum) {
 }
 
 TEST(TelemetryRegistry, DisabledFlagSuppressesRecording) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telem::reset_metrics_for_test();
   telem::Counter counter("test.disabled");
   counter.add(5);
@@ -127,9 +115,6 @@ TEST(TelemetryRegistry, DisabledFlagSuppressesRecording) {
 }
 
 TEST(TelemetryRegistry, SnapshotIsSortedByName) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telem::Counter a("test.zzz");
   telem::Counter b("test.aaa");
   a.increment();
@@ -144,9 +129,6 @@ TEST(TelemetryRegistry, SnapshotIsSortedByName) {
 // Trace recording and Chrome trace-event export.
 
 TEST(TelemetryTrace, ExportIsBalancedAndCarriesLanes) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telem::start_tracing();
   telem::set_thread_lane("test.main");
   {
@@ -186,9 +168,6 @@ TEST(TelemetryTrace, ExportIsBalancedAndCarriesLanes) {
 }
 
 TEST(TelemetryTrace, InactiveRecordingIsDropped) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telem::start_tracing();
   telem::stop_tracing();
   {
@@ -200,9 +179,6 @@ TEST(TelemetryTrace, InactiveRecordingIsDropped) {
 }
 
 TEST(TelemetryTrace, UntracedWorkerThreadsDoNotGrowRegistry) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   // Regression: the tree executor spawns fresh worker threads per run and
   // names their lanes unconditionally; with tracing inactive that
   // must not allocate (and strand) a per-thread event buffer per run, or a
@@ -223,9 +199,6 @@ TEST(TelemetryTrace, UntracedWorkerThreadsDoNotGrowRegistry) {
 }
 
 TEST(TelemetryTrace, RestartWhileSpanOpenDoesNotPoisonLane) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telem::start_tracing();
   {
     telem::TraceSpan stale("test.preepoch");
@@ -248,9 +221,6 @@ TEST(TelemetryTrace, RestartWhileSpanOpenDoesNotPoisonLane) {
 }
 
 TEST(TelemetryTrace, ExportEscapesAndSurvivesLongEventNames) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   // Convention says span names are plain literals, but export must stay
   // well-formed JSON even when one isn't: quotes/backslashes escape, and a
   // name longer than any internal formatting buffer survives untruncated.
@@ -281,9 +251,6 @@ std::vector<Trial> trials_as_run_noisy_generates(const BenchmarkEntry& entry,
 }
 
 TEST(TelemetryReconciliation, CounterMatchesProofAndResultOnTableOneSuite) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telem::set_enabled(true);
   const DeviceModel dev = yorktown_device();
   constexpr std::size_t kTrials = 300;
@@ -316,9 +283,6 @@ TEST(TelemetryReconciliation, CounterMatchesProofAndResultOnTableOneSuite) {
 }
 
 TEST(TelemetryReconciliation, ParallelTreeCounterMatchesAtOneTwoEightThreads) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telem::set_enabled(true);
   const DeviceModel dev = yorktown_device();
   constexpr std::size_t kTrials = 300;
@@ -353,9 +317,6 @@ TEST(TelemetryReconciliation, ParallelTreeCounterMatchesAtOneTwoEightThreads) {
 }
 
 TEST(TelemetryReconciliation, BaselineModeCounterMatchesBaselineOps) {
-  if (!telem::compiled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   telem::set_enabled(true);
   const DeviceModel dev = yorktown_device();
   const BenchmarkEntry entry = make_table1_suite(dev)[1];  // grover
@@ -392,17 +353,13 @@ TEST(TelemetrySurfacing, ProtocolStatsCarriesMetricsSnapshot) {
   ASSERT_TRUE(response.get_bool("ok", false));
   ASSERT_TRUE(response.has("telemetry"));
   const Json& metrics = response.at("telemetry");
-  if (telem::compiled()) {
-    // The job above executed gates, so the op counter must be present and
-    // positive, and histograms serialize structurally.
-    ASSERT_TRUE(metrics.has("sim.matvec_ops"));
-    EXPECT_GT(metrics.at("sim.matvec_ops").as_u64(), 0u);
-    ASSERT_TRUE(metrics.has("service.job_exec_us"));
-    EXPECT_TRUE(metrics.at("service.job_exec_us").has("count"));
-    EXPECT_TRUE(metrics.at("service.job_exec_us").has("buckets"));
-  } else {
-    EXPECT_TRUE(metrics.as_object().empty());
-  }
+  // The job above executed gates, so the op counter must be present and
+  // positive, and histograms serialize structurally.
+  ASSERT_TRUE(metrics.has("sim.matvec_ops"));
+  EXPECT_GT(metrics.at("sim.matvec_ops").as_u64(), 0u);
+  ASSERT_TRUE(metrics.has("service.job_exec_us"));
+  EXPECT_TRUE(metrics.at("service.job_exec_us").has("count"));
+  EXPECT_TRUE(metrics.at("service.job_exec_us").has("buckets"));
 
   // Terminal job result carries the TelemetrySummary block.
   const Json status = handler.handle(Json::parse("{\"op\":\"status\",\"job\":1}"));
@@ -414,9 +371,7 @@ TEST(TelemetrySurfacing, ProtocolStatsCarriesMetricsSnapshot) {
   EXPECT_TRUE(summary.has("measured_ops"));
   EXPECT_TRUE(summary.has("prefix_cache_hit_ratio"));
   EXPECT_TRUE(summary.has("pool_reuses"));
-  if (telem::compiled()) {
-    EXPECT_EQ(summary.at("measured_ops").as_u64(), result.at("ops").as_u64());
-  }
+  EXPECT_EQ(summary.at("measured_ops").as_u64(), result.at("ops").as_u64());
 }
 
 TEST(TelemetrySurfacing, CliTraceOutWritesChromeTrace) {
@@ -426,11 +381,6 @@ TEST(TelemetrySurfacing, CliTraceOutWritesChromeTrace) {
   const int code = run_cli({"rqsim", "run", "--circuit", "qft4", "--trials", "64",
                             "--threads", "2", "--trace-out", path},
                            out, err);
-  if (!telem::compiled()) {
-    EXPECT_EQ(code, 1);
-    EXPECT_NE(err.str().find("RQSIM_TELEMETRY"), std::string::npos);
-    return;
-  }
   ASSERT_EQ(code, 0) << err.str();
   EXPECT_NE(out.str().find("trace written to"), std::string::npos);
   EXPECT_NE(out.str().find("telemetry:"), std::string::npos);

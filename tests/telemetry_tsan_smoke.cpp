@@ -37,10 +37,6 @@ int failures = 0;
 namespace telem = rqsim::telemetry;
 
 void stress_registry_and_trace() {
-  if (!telem::compiled()) {
-    std::printf("telemetry_tsan_smoke: telemetry compiled out, nothing to do\n");
-    return;
-  }
   telem::set_enabled(true);
   telem::reset_metrics_for_test();
   telem::start_tracing();

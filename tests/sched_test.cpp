@@ -175,8 +175,11 @@ TEST(Scheduler, EmptyTrialList) {
 
 // ------------------------------------------------------- trace equivalence
 
+// gtest names each instance by a byte dump of its TraceCase, so the struct
+// must have no padding: padding bytes are uninitialized, and a name that
+// included them would change from one listing of the binary to the next.
 struct TraceCase {
-  unsigned qubits;
+  std::size_t qubits;
   double single_rate;
   double two_rate;
   std::size_t trials;
